@@ -6,11 +6,13 @@ curvature equals the stored constant ``c``.  Complex coordinate ``w^a``
 pairs with real coordinates ``(u^{2a}, u^{2a+1})``; the complex structure
 rotates each pair by 90 degrees:  J e_{2a} = e_{2a+1},  J e_{2a+1} = -e_{2a}.
 
-Metric components are produced as jets of the chart point, so ambient
-Christoffel symbols and their derivatives fall out of jet arithmetic.  The
-curvature tensor is available along two independent routes: the closed-form
-expression for a complex space form, and differentiation of the Christoffel
-symbols.
+The Levi-Civita connection is given in closed form (``connection``): zero
+for flat space, and for Fubini-Study the Kaehler expression in complex
+coordinates, which holds for every ``c``.  Metric components are produced as
+jets of the chart point, so differentiating them (``christoffel_from_metric``)
+gives an independent reference for the closed form.  The curvature tensor is
+likewise available along two independent routes: the closed-form expression
+for a complex space form, and differentiation of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -105,14 +107,11 @@ def metric(model: AmbientModel, x) -> np.ndarray:
     return G
 
 
-def christoffel_from_metric(G: np.ndarray, dvars) -> np.ndarray:
-    """Levi-Civita symbols of a jet-valued metric.
+def christoffel_from_metric(G: np.ndarray) -> np.ndarray:
+    """Levi-Civita symbols of a jet-valued metric given in the chart ring.
 
-    ``dvars[A]`` names the jet variable that realizes the A-th chart
-    direction, so the same routine serves both direct chart evaluation and
-    evaluation composed with an immersion (where chart directions enter as
-    auxiliary variables).
-    Returns an object array indexed ``[C, A, B]`` for Gamma^C_{AB}.
+    Jet variable A is chart coordinate A.  Returns an object array indexed
+    ``[C, A, B]`` for Gamma^C_{AB}.
     """
     d = G.shape[0]
     Ginv = jet_matrix_inverse(G)
@@ -120,7 +119,7 @@ def christoffel_from_metric(G: np.ndarray, dvars) -> np.ndarray:
     for A in range(d):
         for B in range(d):
             for C in range(B, d):
-                der = G[B, C].derivative(dvars[A])
+                der = G[B, C].derivative(A)
                 dG[A, B, C] = der
                 dG[A, C, B] = der
     Gamma = np.empty((d, d, d), dtype=object)
@@ -137,12 +136,69 @@ def christoffel_from_metric(G: np.ndarray, dvars) -> np.ndarray:
     return Gamma
 
 
-def christoffel(model: AmbientModel, x, dvars=None) -> np.ndarray:
+def christoffel(model: AmbientModel, x) -> np.ndarray:
     """Ambient Christoffel symbols Gamma^C_{AB} as jets at a chart point."""
-    G = metric(model, x)
-    if dvars is None:
-        dvars = list(range(model.real_dim))
-    return christoffel_from_metric(G, dvars)
+    return christoffel_from_metric(metric(model, x))
+
+
+def connection(model: AmbientModel, x):
+    """Closed-form Levi-Civita connection at chart point ``x``.
+
+    Returns a function taking vectors X, Y to the chart components of
+    Gamma(X, Y)^C = Gamma^C_{AB} X^A Y^B, or ``None`` for flat space.
+    Polymorphic over floats and jets: the point and both vectors are
+    sequences of ``real_dim`` matching scalars.
+    For Fubini-Study, with complex components X^a = X^{2a} + i X^{2a+1} and
+    rho = 1 + |w|^2,
+
+        Gamma(X, Y)^a = -(X^a <wbar, Y> + Y^a <wbar, X>) / rho,
+
+    where <wbar, Y> = sum_b wbar_b Y^b; the constant ``c`` scales the metric
+    only, so it drops out.
+    """
+    if model.kind == FLAT:
+        return None
+    N = model.complex_dim
+    rho = 1.0
+    for A in range(2 * N):
+        rho = rho + x[A] * x[A]
+    inv_rho = 1.0 / rho
+
+    def wbar_dot(V):
+        re = im = 0.0
+        for a in range(N):
+            wr, wi = x[2 * a], x[2 * a + 1]
+            vr, vi = V[2 * a], V[2 * a + 1]
+            re = re + wr * vr + wi * vi
+            im = im + wr * vi - wi * vr
+        return re * inv_rho, im * inv_rho
+
+    def gamma(X, Y) -> list:
+        sx_re, sx_im = wbar_dot(X)
+        sy_re, sy_im = wbar_dot(Y)
+        out = []
+        for a in range(N):
+            xr, xi = X[2 * a], X[2 * a + 1]
+            yr, yi = Y[2 * a], Y[2 * a + 1]
+            out.append(-(xr * sy_re - xi * sy_im + yr * sx_re - yi * sx_im))
+            out.append(-(xr * sy_im + xi * sy_re + yr * sx_im + yi * sx_re))
+        return out
+
+    return gamma
+
+
+def connection_tensor(model: AmbientModel, x) -> np.ndarray:
+    """Closed-form Gamma^C_{AB} at a float chart point, indexed ``[C, A, B]``."""
+    d = model.real_dim
+    Gamma = np.zeros((d, d, d))
+    gamma = connection(model, x)
+    if gamma is None:
+        return Gamma
+    basis = np.eye(d)
+    for A in range(d):
+        for B in range(d):
+            Gamma[:, A, B] = gamma(list(basis[A]), list(basis[B]))
+    return Gamma
 
 
 def curvature_operator(c: float, g, J, X, Y, Z) -> list:
@@ -274,7 +330,7 @@ def check_kaehler(model: AmbientModel, x, metric_perturbation=None) -> dict:
 
     hermitian = np.abs(J.T @ gval @ J - gval).max() / (1.0 + np.abs(gval).max())
 
-    Gamma = christoffel_from_metric(G, list(range(model.real_dim)))
+    Gamma = christoffel_from_metric(G)
     Gval = jet_values(Gamma)
     # J is constant, so parallel J reduces to Gamma J - J Gamma per direction.
     nabla_J = np.einsum("cad,db->cab", Gval, J) - np.einsum(

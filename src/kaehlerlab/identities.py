@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .submanifold import ExtrinsicData
+from .submanifold import ExtrinsicData, normalized_residual
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,6 @@ REGISTRY = (
 )
 
 REGISTRY_BY_ID = {chk.identity_id: chk for chk in REGISTRY}
-
-
-def _norm_residual(lhs, rhs) -> float:
-    lhs = np.asarray(lhs, float)
-    rhs = np.asarray(rhs, float)
-    den = 1.0 + max(np.abs(lhs).max(initial=0.0), np.abs(rhs).max(initial=0.0))
-    return float(np.abs(lhs - rhs).max(initial=0.0) / den)
 
 
 class _Evaluator:
@@ -413,7 +406,7 @@ def run_identity_suite(
         worst = 0.0
         for tup in tuples:
             lhs, rhs = fn(*tup)
-            worst = max(worst, _norm_residual(lhs, rhs))
+            worst = max(worst, normalized_residual(lhs, rhs))
         tol = chk.tolerance
         if tolerances and chk.identity_id in tolerances:
             tol = float(tolerances[chk.identity_id])

@@ -79,18 +79,6 @@ def _diff_table(n: int, var: int):
 
 
 @lru_cache(maxsize=None)
-def _embed_table(n_old: int, n_new: int, offset: int):
-    if n_old + offset > n_new:
-        raise ValueError("embedded variables fall outside the target ring")
-    pos = index_position(n_new)
-    table = []
-    for a in multi_indices(n_old):
-        padded = (0,) * offset + a + (0,) * (n_new - n_old - offset)
-        table.append(pos[padded])
-    return np.array(table)
-
-
-@lru_cache(maxsize=None)
 def _project_table(n_old: int, n_keep: int):
     """Positions of coefficients free of variables >= n_keep, plus targets."""
     pos_new = index_position(n_keep)
@@ -293,13 +281,6 @@ def extract(jet: Jet, alpha) -> float:
     for a in alpha:
         scale *= math.factorial(a)
     return scale * float(jet.c[index_position(jet.n)[alpha]])
-
-
-def embed(jet: Jet, n_new: int, offset: int = 0) -> Jet:
-    """Reinterpret a jet inside a larger ring, mapping variable i -> i+offset."""
-    out = Jet(n_new)
-    out.c[_embed_table(jet.n, n_new, offset)] = jet.c
-    return out
 
 
 def project_head(jet: Jet, n_keep: int) -> Jet:

@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .submanifold import ExtrinsicData, tensor_norms
+from .submanifold import (
+    ExtrinsicData,
+    max_shape_operator_determinant,
+    tensor_norms,
+)
 
 TOTALLY_GEODESIC = "TotallyGeodesic"
 PARALLEL = "Parallel"
@@ -39,7 +43,6 @@ class RecurrenceResult:
     theorem1_residual: float
     theorem2_residual: float
     norms: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
 
 
 def solve_mu(nabla_b: np.ndarray, b: np.ndarray):
@@ -95,7 +98,6 @@ def classify(data: ExtrinsicData) -> RecurrenceResult:
         theorem1_residual=t1,
         theorem2_residual=t2,
         norms=norms,
-        details={},
     )
 
 
@@ -120,9 +122,7 @@ def verify_theorems(data: ExtrinsicData, result=None) -> dict:
         "theorem2_residual": result.theorem2_residual,
         "mu_norm": result.mu_norm,
         "r_perp_norm": result.norms["r_perp"],
-        "max_shape_determinant": float(
-            max(abs(np.linalg.det(data.A[a])) for a in range(2 * data.l))
-        ),
+        "max_shape_determinant": max_shape_operator_determinant(data),
         "failures": [],
     }
     if not verdict["applicable"]:

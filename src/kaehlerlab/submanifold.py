@@ -8,14 +8,14 @@ of the second fundamental form, of the shape operators, of the normal
 curvature and of the intrinsic curvature.
 
 Derivative bookkeeping is the delicate part.  All quantities are assembled
-in jet arithmetic over the immersion parameters; ambient chart derivatives
-(needed for the ambient Christoffel symbols along the immersion) enter
-through auxiliary jet variables appended after the parameters.  Quantities
-whose derivative we take downstream are kept as jets; everything else is
-reduced to plain floats.  Wherever the construction admits two genuinely
-different assembly routes (covariant derivative of b, normal curvature,
-intrinsic curvature and its derivative) both are computed and their
-disagreement is a hard internal failure.
+in jet arithmetic over the immersion parameters alone: the ambient metric
+and the closed-form ambient connection are evaluated directly on the jets
+of F(u), so no ambient chart derivative is taken.  Quantities whose
+derivative we take downstream are kept as jets; everything else is reduced
+to plain floats.  Wherever the construction admits two genuinely different
+assembly routes (covariant derivative of b, normal curvature, intrinsic
+curvature and its derivative) both are computed and their disagreement is
+a hard internal failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .jets import (
     Jet,
     jet_matrix_inverse,
     jet_values,
-    project_head,
     seed_variable,
 )
 
@@ -82,14 +81,13 @@ class ImmersionCase:
     def l(self) -> int:
         return self.ambient.complex_dim - self.m
 
-    def map_jets(self, u, n_total=None) -> list:
+    def map_jets(self, u) -> list:
         """Real chart coordinates of F(u) as jets in the parameter ring."""
         nu = 2 * self.m
         u = np.asarray(u, dtype=float)
         if u.shape != (nu,):
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
-        n = nu if n_total is None else n_total
-        seeds = [seed_variable(i, u[i], n) for i in range(nu)]
+        seeds = [seed_variable(i, u[i], nu) for i in range(nu)]
         z = [ComplexJet(seeds[2 * a], seeds[2 * a + 1]) for a in range(self.m)]
         w = self.chart(z)
         out = []
@@ -202,7 +200,8 @@ class ExtrinsicData:
     frame_residuals: dict = field(default_factory=dict)
 
 
-def _two_path_residual(p1, p2) -> float:
+def normalized_residual(p1, p2) -> float:
+    """|p1 - p2|_inf / (1 + max(|p1|_inf, |p2|_inf))."""
     p1 = np.asarray(p1, float)
     p2 = np.asarray(p2, float)
     den = 1.0 + max(np.abs(p1).max(initial=0.0), np.abs(p2).max(initial=0.0))
@@ -234,26 +233,9 @@ class PointGeometry:
     # -- ambient data composed with the immersion ---------------------------
 
     def _build_ambient_along_immersion(self):
-        nu, d = self.nu, self.d
-        n_tot = nu + d
-        F = self.case.map_jets(self.u, n_total=n_tot)
-        # Shift each chart coordinate by its own auxiliary variable so the
-        # ambient chart derivatives of the metric are available along F(u).
-        x_eps = [F[A] + seed_variable(nu + A, 0.0, n_tot) for A in range(d)]
-        G_eps = amb.metric(self.case.ambient, x_eps)
-        Gam_eps = amb.christoffel_from_metric(
-            G_eps, dvars=[nu + A for A in range(d)]
-        )
-        self.g_amb_jet = np.empty((d, d), dtype=object)
-        self.gamma_amb_jet = np.empty((d, d, d), dtype=object)
-        for A in range(d):
-            for B in range(d):
-                self.g_amb_jet[A, B] = project_head(G_eps[A, B], nu)
-                for C in range(d):
-                    self.gamma_amb_jet[A, B, C] = project_head(
-                        Gam_eps[A, B, C], nu
-                    )
-        self.F = [project_head(f, nu) for f in F]
+        self.F = self.case.map_jets(self.u)
+        self.g_amb_jet = amb.metric(self.case.ambient, self.F)
+        self.connection_amb = amb.connection(self.case.ambient, self.F)
 
     def _ip(self, U, V) -> Jet:
         """Ambient inner product of two jet vectors at F(u)."""
@@ -263,6 +245,14 @@ class PointGeometry:
                 term = self.g_amb_jet[A, B] * U[A] * V[B]
                 acc = term if acc is None else acc + term
         return acc
+
+    def _ambient_derivative(self, i: int, V) -> list:
+        """Chart components of the ambient covariant derivative along d/du^i."""
+        out = [v.derivative(i) for v in V]
+        if self.connection_amb is not None:
+            gam = self.connection_amb(self.T_jet[i], V)
+            out = [o + g for o, g in zip(out, gam)]
+        return out
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
 
@@ -426,14 +416,9 @@ class PointGeometry:
         self.b_vec_jet = np.empty((nu, nu, d), dtype=object)
         for i in range(nu):
             for j in range(i, nu):
+                dT = self._ambient_derivative(i, self.T_jet[j])
                 for A in range(d):
-                    acc = self.F[A].derivative(j).derivative(i)
-                    for B in range(d):
-                        for C in range(d):
-                            acc = acc + (
-                                self.gamma_amb_jet[A, B, C]
-                                * self.T_jet[i][B] * self.T_jet[j][C]
-                            )
+                    acc = dT[A]
                     for k in range(nu):
                         acc = acc - self.gamma_jet[k, i, j] * self.T_jet[k][A]
                     self.b_vec_jet[i, j, A] = acc
@@ -456,21 +441,6 @@ class PointGeometry:
                     self.A_jet[a, k, j] = acc
 
     # -- normal connection ----------------------------------------------------
-
-    def _ambient_derivative(self, i: int, V) -> list:
-        """Chart components of the ambient covariant derivative along d/du^i."""
-        d = self.d
-        out = []
-        for A in range(d):
-            acc = V[A].derivative(i)
-            for B in range(d):
-                for C in range(d):
-                    acc = acc + (
-                        self.gamma_amb_jet[A, B, C]
-                        * self.T_jet[i][B] * V[C]
-                    )
-            out.append(acc)
-        return out
 
     def _build_normal_connection(self):
         nu = self.nu
@@ -539,7 +509,7 @@ class PointGeometry:
                         val = self._ip(w, self.N_jet[a]).value
                         nb2[i, a, j, k] = val
                         nb2[i, a, k, j] = val
-        res = _two_path_residual(nb, nb2)
+        res = normalized_residual(nb, nb2)
         self.two_path = {"two_path_nabla_b": res}
         if res > TWO_PATH_TOL["two_path_nabla_b"]:
             raise PathDisagreementError(
@@ -618,7 +588,7 @@ class PointGeometry:
                             - np.dot(gp[bb, :, j], gp[:, a, i])
                         )
                         rp2[i, j, a, bb] = val
-        res = _two_path_residual(rp1_val, rp2)
+        res = normalized_residual(rp1_val, rp2)
         self.two_path["two_path_r_perp"] = res
         if res > TWO_PATH_TOL["two_path_r_perp"]:
             raise PathDisagreementError(
@@ -644,7 +614,6 @@ class PointGeometry:
 
     def _build_intrinsic_curvature(self):
         nu = self.nu
-        p = 2 * self.l
         gam = jet_values(self.gamma_jet)
         g = jet_values(self.g_jet)
 
@@ -677,15 +646,15 @@ class PointGeometry:
         for i in range(nu):
             for j in range(nu):
                 for k in range(nu):
+                    Rt = amb.curvature_operator(
+                        self.c, self.g_amb_jet, self.J_amb,
+                        self.T_jet[i], self.T_jet[j], self.T_jet[k],
+                    ) if self.c != 0.0 else None
                     for ll in range(nu):
-                        if self.c != 0.0:
-                            Rt = amb.curvature_operator(
-                                self.c, self.g_amb_jet, self.J_amb,
-                                self.T_jet[i], self.T_jet[j], self.T_jet[k],
-                            )
-                            acc = self._ip(Rt, self.T_jet[ll])
-                        else:
-                            acc = Jet(nu)
+                        acc = (
+                            self._ip(Rt, self.T_jet[ll])
+                            if Rt is not None else Jet(nu)
+                        )
                         acc = acc - self._ip(
                             list(self.b_vec_jet[i, k]),
                             list(self.b_vec_jet[j, ll]),
@@ -696,7 +665,7 @@ class PointGeometry:
                         )
                         r2[i, j, k, ll] = acc
         r2_val = jet_values(r2)
-        res = _two_path_residual(r1, r2_val)
+        res = normalized_residual(r1, r2_val)
         self.two_path["two_path_r"] = res
         if res > TWO_PATH_TOL["two_path_r"]:
             raise PathDisagreementError(
@@ -728,7 +697,7 @@ class PointGeometry:
                             val -= np.dot(gam[:, s, k], r2_val[i, j, :, ll])
                             val -= np.dot(gam[:, s, ll], r2_val[i, j, k, :])
                             nrB[s, i, j, k, ll] = val
-        res = _two_path_residual(nrA, nrB)
+        res = normalized_residual(nrA, nrB)
         self.two_path["two_path_nabla_r"] = res
         if res > TWO_PATH_TOL["two_path_nabla_r"]:
             raise PathDisagreementError(
@@ -736,7 +705,6 @@ class PointGeometry:
                 f"{res:.3e}"
             )
         self.nabla_r = nrA
-        del p
 
     # -- assembled output -----------------------------------------------------------
 
@@ -801,7 +769,9 @@ class PointGeometry:
             nabla_r=self.nabla_r,
             g_amb=jet_values(self.g_amb_jet),
             J_amb=self.J_amb,
-            gamma_amb=jet_values(self.gamma_amb_jet),
+            gamma_amb=amb.connection_tensor(
+                self.case.ambient, [f.value for f in self.F]
+            ),
             two_path=dict(self.two_path),
             frame_residuals=dict(self.frame_residuals),
         )
@@ -810,54 +780,6 @@ class PointGeometry:
 def extrinsic_data(case: ImmersionCase, u, normal_seed_mix=None) -> ExtrinsicData:
     """The complete extrinsic package at one parameter point."""
     return PointGeometry(case, u, normal_seed_mix=normal_seed_mix).data()
-
-
-# -- per-quantity entry points (jets) -------------------------------------
-
-
-def induced_metric(case, u):
-    return PointGeometry(case, u).g_jet
-
-
-def christoffel(case, u):
-    return PointGeometry(case, u).gamma_jet
-
-
-def adapted_normal_frame(case, u):
-    return PointGeometry(case, u).N_jet
-
-
-def second_fundamental_form(case, u):
-    return PointGeometry(case, u).b_jet
-
-
-def shape_operators(case, u):
-    return jet_values(PointGeometry(case, u).A_jet)
-
-
-def normal_connection(case, u):
-    return PointGeometry(case, u).gamma_perp_jet
-
-
-def covariant_derivative_b(case, u):
-    return PointGeometry(case, u).nabla_b
-
-
-def covariant_derivative_A(case, u):
-    return PointGeometry(case, u).nabla_A
-
-
-def normal_curvature(case, u):
-    return PointGeometry(case, u).r_perp
-
-
-def covariant_derivative_normal_curvature(case, u):
-    return PointGeometry(case, u).nabla_r_perp
-
-
-def intrinsic_curvature(case, u):
-    geo = PointGeometry(case, u)
-    return geo.r, geo.nabla_r
 
 
 # -- frame-independent norms ------------------------------------------------

@@ -14,7 +14,13 @@ from kaehlerlab import cli
 from kaehlerlab import identities as idn
 from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
-from kaehlerlab.jets import extract, fd_oracle, multi_indices
+from kaehlerlab.jets import (
+    extract,
+    fd_oracle,
+    jet_values,
+    multi_indices,
+    seed_point,
+)
 
 
 def report(name, ok):
@@ -46,8 +52,18 @@ def test_1_ambient_validity():
             X = rng.uniform(-1, 1, d)
             K = amb.holomorphic_sectional_curvature(model, x, X)
             ok &= abs(K - model.c) <= 1e-8
+    # The closed-form connection against differentiation of the metric; the
+    # closed form does not depend on c, so two values of c are compared.
+    for model in [amb.flat(2), amb.flat(3)] + [
+        amb.fubini_study(c, N) for c in (1.0, 4.0) for N in (1, 2, 3)
+    ]:
+        for _ in range(5):
+            x = rng.uniform(-1, 1, model.real_dim)
+            want = jet_values(amb.christoffel(model, seed_point(x)))
+            got = amb.connection_tensor(model, x)
+            ok &= np.abs(got - want).max() <= 1e-12
     report("1 ambient validity (Hermitian, parallel J, curvature paths, "
-           "holomorphic sectional curvature)", ok)
+           "holomorphic sectional curvature, closed-form connection)", ok)
 
 
 def test_2_jet_vs_finite_difference_oracle():

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from kaehlerlab import ambient as amb
-from kaehlerlab.jets import jet_values, seed_point
+from kaehlerlab.jets import jet_values, multi_indices, seed_point
 
 MODELS = [
     amb.flat(2),
     amb.flat(3),
     amb.fubini_study(4.0, 2),
     amb.fubini_study(4.0, 3),
+]
+
+#: The closed-form connection does not depend on c, so two values of c
+#: catch a stray factor of it.
+CONNECTION_MODELS = [amb.flat(2), amb.flat(3)] + [
+    amb.fubini_study(c, N) for c in (1.0, 4.0) for N in (1, 2, 3)
 ]
 
 
@@ -88,13 +94,39 @@ class TestConnection:
                 for B in range(d):
                     assert G[C, A, B] == G[C, B, A]
 
+    def test_closed_form_matches_metric_route(self):
+        for model in CONNECTION_MODELS:
+            for x in random_points(model, 5, 37):
+                want = jet_values(amb.christoffel(model, seed_point(x)))
+                got = amb.connection_tensor(model, x)
+                assert np.abs(got - want).max() <= 1e-12
+
+    def test_closed_form_on_jets(self):
+        # Evaluated on a seeded point, the closed form carries the same
+        # derivatives as the metric route; the latter is exact through
+        # degree 2 (one order is spent differentiating the metric).
+        for model in CONNECTION_MODELS[2:]:
+            d = model.real_dim
+            n2 = len([a for a in multi_indices(d) if sum(a) <= 2])
+            basis = np.eye(d)
+            for x in random_points(model, 2, 41):
+                seeds = seed_point(x)
+                want = amb.christoffel(model, seeds)
+                gamma = amb.connection(model, seeds)
+                for A in range(d):
+                    for B in range(d):
+                        got = gamma(list(basis[A]), list(basis[B]))
+                        for C in range(d):
+                            diff = got[C].c[:n2] - want[C, A, B].c[:n2]
+                            assert np.abs(diff).max() <= 1e-12
+
     def test_metric_compatibility(self):
         model = amb.fubini_study(4.0, 2)
         d = model.real_dim
         for x in random_points(model, 5, 7):
             seeds = seed_point(x)
             G = amb.metric(model, seeds)
-            Gam = amb.christoffel_from_metric(G, list(range(d)))
+            Gam = amb.christoffel_from_metric(G)
             gval = jet_values(G)
             Gval = jet_values(Gam)
             dg = np.empty((d, d, d))

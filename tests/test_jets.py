@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kaehlerlab.jets import (
     ComplexJet,
     Jet,
-    embed,
     extract,
     fd_oracle,
     index_position,
@@ -170,14 +169,19 @@ class TestCalculus:
                 fd_oracle(f, [0.5], alpha, h), rel=tol, abs=tol
             )
 
-    def test_embed_project_roundtrip(self):
-        x = seed_variable(0, 0.5, 2)
-        y = seed_variable(1, 0.25, 2)
-        f = x * y + x * x * y
-        g = embed(f, 4, offset=1)
-        back = project_head(g, 3)
-        assert back.n == 3
-        assert project_head(embed(f, 2, 0), 2) == f
+    def test_project_head_drops_tail_variables(self):
+        # Keeping the first two variables of a jet seeded at z = 0 gives the
+        # jet of the same function restricted to z = 0.
+        def f(x, y):
+            return x * y + x * x * y
+
+        x3, y3, z3 = (seed_variable(i, v, 3) for i, v in
+                      enumerate([0.5, 0.25, 0.0]))
+        full = f(x3 + z3, y3) + z3 * x3
+        back = project_head(full, 2)
+        assert back.n == 2
+        assert back == f(seed_variable(0, 0.5, 2), seed_variable(1, 0.25, 2))
+        assert project_head(full, 3) == full
 
     def test_project_rejects_growth(self):
         with pytest.raises(ValueError):

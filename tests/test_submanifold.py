@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from kaehlerlab import ambient as amb
+from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
-from kaehlerlab.jets import jet_values
+from kaehlerlab.jets import jet_values, seed_point
 
 
 def data_at(name, u, **kw):
@@ -142,6 +144,29 @@ class TestTwoPathGates:
                 d = sm.extrinsic_data(case, rng.uniform(-1, 1, 2))
                 for key, val in d.two_path.items():
                     assert val <= sm.TWO_PATH_TOL[key], (case.name, key, val)
+
+
+def _chart_segre(z):
+    return [z[0], z[1], z[0] * z[1]]
+
+
+class TestSurfaceInCurvedAmbient:
+    def test_segre_quadric_point(self):
+        # The Segre quadric CP1 x CP1 in CP3 (m = 2): a parallel surface that
+        # runs the ambient connection with four tangent directions.
+        case = sm.ImmersionCase(
+            "segre_cp1xcp1", 2, amb.fubini_study(4.0, 3), _chart_segre,
+            ((-1.0, 1.0),) * 4, sm.PARALLEL,
+        )
+        u = [0.3, -0.2, 0.1, 0.4]
+        d = sm.extrinsic_data(case, u)
+        assert rec.classify(d).classification == rec.PARALLEL
+        for key, val in d.two_path.items():
+            assert val <= sm.TWO_PATH_TOL[key], (key, val)
+        want = jet_values(
+            amb.christoffel(case.ambient, seed_point(case.map_values(u)))
+        )
+        assert np.abs(d.gamma_amb - want).max() <= 1e-12
 
 
 class TestFrameCovariance:
