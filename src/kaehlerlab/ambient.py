@@ -240,16 +240,6 @@ def curvature_operator(c: float, g, J, X, Y, Z) -> list:
     return out
 
 
-def curvature(model: AmbientModel, x, X, Y, Z) -> np.ndarray:
-    """Closed-form curvature with float vectors at a float chart point."""
-    g = jet_values(metric(model, seed_point(x)))
-    J = complex_structure(model)
-    X = np.asarray(X, float)
-    Y = np.asarray(Y, float)
-    Z = np.asarray(Z, float)
-    return np.array(curvature_operator(model.c, g, J, list(X), list(Y), list(Z)))
-
-
 def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
     """Curvature by differentiating the connection: the second, independent path.
 

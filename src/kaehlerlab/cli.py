@@ -4,9 +4,9 @@ Subcommands: ``list`` prints the immersion catalog, ``run`` samples points
 with a seeded low-discrepancy sequence, evaluates the identity suite and
 the recurrence analysis at each point, and writes a JSON or text report.
 Exit codes: 0 all checks passed and classifications matched, 1 at least
-one check failed, 2 classification mismatch (with 1 taking precedence),
-64 configuration error.  Reports are byte-identical across runs with the
-same configuration.
+one check failed or a point hit an internal route disagreement, 2
+classification mismatch (with 1 taking precedence), 64 configuration error.
+Reports are byte-identical across runs with the same configuration.
 """
 
 from __future__ import annotations
@@ -102,8 +102,15 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
         try:
             data = submanifold.extrinsic_data(case, u)
         except (submanifold.DegeneratePointError,
-                submanifold.FrameConstructionError) as exc:
+                submanifold.FrameConstructionError,
+                submanifold.PathDisagreementError) as exc:
             entry["skipped"] = str(exc)
+            if isinstance(exc, submanifold.PathDisagreementError):
+                # A route disagreement is a bug in the engine, not a property
+                # of the point: report it and fail the run.
+                entry["internal_error"] = {"route": exc.route,
+                                           "two_path": exc.two_path}
+                any_check_failed = True
             n_skipped += 1
             point_reports.append(entry)
             continue

@@ -436,10 +436,23 @@ def jet_matrix_inverse(mat):
     return inv
 
 
-def jet_values(arr) -> np.ndarray:
-    """Degree-zero coefficients of an object array of jets."""
+def _coefficient_stack(arr) -> np.ndarray:
+    """Coefficients of a (nested) array of jets, on a new last axis."""
     arr = np.asarray(arr, dtype=object)
-    out = np.empty(arr.shape)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = arr[idx].value
-    return out
+    return np.array([jet.c for jet in arr.flat]).reshape(*arr.shape, -1)
+
+
+def jet_values(arr) -> np.ndarray:
+    """Degree-zero coefficients of an array of jets."""
+    return _coefficient_stack(arr)[..., 0]
+
+
+def jet_gradient(arr) -> np.ndarray:
+    """First partials of an array of jets, indexed ``[i, *arr.shape]``.
+
+    The partial in variable i is the coefficient of u^i, which graded-lex
+    order stores at position 1 + i.
+    """
+    arr = np.asarray(arr, dtype=object)
+    n = arr.flat[0].n
+    return np.moveaxis(_coefficient_stack(arr)[..., 1:n + 1], -1, 0)

@@ -11,11 +11,14 @@ Derivative bookkeeping is the delicate part.  All quantities are assembled
 in jet arithmetic over the immersion parameters alone: the ambient metric
 and the closed-form ambient connection are evaluated directly on the jets
 of F(u), so no ambient chart derivative is taken.  Quantities whose
-derivative we take downstream are kept as jets; everything else is reduced
-to plain floats.  Wherever the construction admits two genuinely different
-assembly routes (covariant derivative of b, normal curvature, intrinsic
-curvature and its derivative) both are computed and their disagreement is
-a hard internal failure.
+derivative we take downstream are kept as jets; everything else is read off
+their coefficients (``jet_values``, ``jet_gradient``) and assembled with
+array algebra, every covariant derivative through ``covariant_derivative``.
+Wherever the construction admits two genuinely different assembly routes
+(covariant derivative of b, normal curvature, intrinsic curvature and its
+derivative) both are computed, and a disagreement raises
+``PathDisagreementError``: an internal failure, never a property of the
+point.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from . import ambient as amb
 from .jets import (
     ComplexJet,
     Jet,
+    jet_gradient,
     jet_matrix_inverse,
     jet_values,
     seed_variable,
@@ -63,7 +67,19 @@ class FrameConstructionError(RuntimeError):
 
 
 class PathDisagreementError(RuntimeError):
-    """Two independent assembly routes disagree: an internal bug, not data."""
+    """Two independent assembly routes disagree: an internal bug, not data.
+
+    ``route`` is the ``TWO_PATH_TOL`` key that failed; ``two_path`` holds
+    the residuals of every route compared up to and including it.
+    """
+
+    def __init__(self, route: str, two_path: dict):
+        self.route = route
+        self.two_path = dict(two_path)
+        super().__init__(
+            f"{route}: routes differ by {two_path[route]:.3e} "
+            f"(tolerance {TWO_PATH_TOL[route]:g})"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,6 +224,29 @@ def normalized_residual(p1, p2) -> float:
     return float(np.abs(p1 - p2).max(initial=0.0) / den)
 
 
+def covariant_derivative(T, dT, gamma, gamma_perp, slots) -> np.ndarray:
+    """Covariant derivative of a float tensor, indexed ``[s, *T.shape]``.
+
+    ``dT[s]`` holds the coordinate partials d_s T, ``gamma[k, i, j]`` the
+    induced Christoffel symbols and ``gamma_perp[a, b, i]`` = <n_a, D_i n_b>
+    the normal connection.  ``slots`` gives one kind per axis of T: "t" a
+    lower tangent index, "u" an upper tangent index, "n" a normal index.
+    The normal frame is orthonormal and gamma_perp antisymmetric, so upper
+    and lower normal indices transform alike.
+    """
+    # conn[kind][s, x, y]: coefficient of T[..y..] in (nabla_s T)[..x..].
+    conn = {
+        "t": -gamma.transpose(1, 2, 0),
+        "u": gamma.transpose(1, 0, 2),
+        "n": -gamma_perp.transpose(2, 1, 0),
+    }
+    out = np.array(dT, dtype=float)
+    for axis, kind in enumerate(slots):
+        term = np.tensordot(conn[kind], T, axes=([2], [axis]))
+        out += np.moveaxis(term, 1, axis + 1)
+    return out
+
+
 class PointGeometry:
     """One-shot computation of the full extrinsic package at a point."""
 
@@ -220,6 +259,7 @@ class PointGeometry:
         self.d = case.ambient.real_dim
         self.c = case.ambient.c
         self.J_amb = amb.complex_structure(case.ambient)
+        self.two_path = {}
         self._build_ambient_along_immersion()
         self._build_tangent()
         self._build_normal_frame(normal_seed_mix)
@@ -229,6 +269,12 @@ class PointGeometry:
         self._build_covariant_derivatives()
         self._build_normal_curvature()
         self._build_intrinsic_curvature()
+
+    def _gate(self, route: str, p1, p2):
+        """Record how far two assembly routes differ; raise past tolerance."""
+        self.two_path[route] = normalized_residual(p1, p2)
+        if self.two_path[route] > TWO_PATH_TOL[route]:
+            raise PathDisagreementError(route, self.two_path)
 
     # -- ambient data composed with the immersion ---------------------------
 
@@ -260,8 +306,7 @@ class PointGeometry:
         nu, d = self.nu, self.d
         self.T_jet = [[self.F[A].derivative(i) for A in range(d)]
                       for i in range(nu)]
-        T_val = np.array([[t.value for t in row] for row in self.T_jet])
-        sv = np.linalg.svd(T_val, compute_uv=False)
+        sv = np.linalg.svd(jet_values(self.T_jet), compute_uv=False)
         if sv.min() < RANK_TOL:
             raise DegeneratePointError(
                 f"{self.case.name}: differential rank-deficient at u={self.u}"
@@ -329,35 +374,20 @@ class PointGeometry:
             n0 = [v[A] * inv_norm for A in range(d)]
             normals.append(n0)
             if len(normals) < p:
-                jn = []
-                for A in range(d):
-                    acc = None
-                    for B in range(d):
-                        if self.J_amb[A, B] == 0.0:
-                            continue
-                        term = n0[B] * self.J_amb[A, B]
-                        acc = term if acc is None else acc + term
-                    jn.append(acc if acc is not None else Jet(nu))
-                normals.append(jn)
+                normals.append(self._jvec(n0))
         if len(normals) != p:
             raise FrameConstructionError(
                 f"{self.case.name}: only {len(normals)} of {p} normal "
                 f"directions found at u={self.u}"
             )
         self.N_jet = normals
-        residuals = {}
-        ortho = 0.0
-        for a in range(p):
-            for bb in range(p):
-                val = self._ip(normals[a], normals[bb]).value
-                ortho = max(ortho, abs(val - (1.0 if a == bb else 0.0)))
-        tangency = max(
-            abs(self._ip(normals[a], self.T_jet[i]).value)
-            for a in range(p) for i in range(nu)
-        )
-        residuals["normal_orthonormality"] = ortho
-        residuals["normal_tangency"] = tangency
-        self.frame_residuals = residuals
+        T, N = jet_values(self.T_jet), jet_values(normals)
+        g_amb = jet_values(self.g_amb_jet)
+        self.frame_residuals = {
+            "normal_orthonormality":
+                float(np.abs(N @ g_amb @ N.T - np.eye(p)).max()),
+            "normal_tangency": float(np.abs(N @ g_amb @ T.T).max()),
+        }
 
     # -- complex structure in the adapted frames -----------------------------
 
@@ -375,7 +405,7 @@ class PointGeometry:
         return out
 
     def _build_j_frames(self):
-        nu, d = self.nu, self.d
+        nu = self.nu
         p = 2 * self.l
         JT = [self._jvec(self.T_jet[j]) for j in range(nu)]
         self.J_tan_jet = np.empty((nu, nu), dtype=object)
@@ -388,14 +418,10 @@ class PointGeometry:
                     acc = term if acc is None else acc + term
                 self.J_tan_jet[k, j] = acc
         # J-invariance of the tangent space: JT_j must lie in the span.
-        worst = 0.0
-        for j in range(nu):
-            for A in range(d):
-                resid = JT[j][A].value - sum(
-                    self.J_tan_jet[k, j].value * self.T_jet[k][A].value
-                    for k in range(nu)
-                )
-                worst = max(worst, abs(resid))
+        T = jet_values(self.T_jet)
+        worst = float(np.abs(
+            jet_values(JT) - jet_values(self.J_tan_jet).T @ T
+        ).max())
         self.frame_residuals["tangent_j_invariance"] = worst
         if worst > J_INVARIANCE_TOL:
             raise DegeneratePointError(
@@ -445,88 +471,54 @@ class PointGeometry:
     def _build_normal_connection(self):
         nu = self.nu
         p = 2 * self.l
-        self.Dn_jet = [
-            [self._ambient_derivative(i, self.N_jet[bb]) for bb in range(p)]
-            for i in range(nu)
-        ]
         self.gamma_perp_jet = np.empty((p, p, nu), dtype=object)
-        for a in range(p):
+        for i in range(nu):
             for bb in range(p):
-                for i in range(nu):
-                    self.gamma_perp_jet[a, bb, i] = self._ip(
-                        self.N_jet[a], self.Dn_jet[i][bb]
-                    )
-        anti = 0.0
-        for a in range(p):
-            for bb in range(p):
-                for i in range(nu):
-                    anti = max(anti, abs(
-                        self.gamma_perp_jet[a, bb, i].value
-                        + self.gamma_perp_jet[bb, a, i].value
-                    ))
-        self.frame_residuals["gamma_perp_antisymmetry"] = anti
+                Dn = self._ambient_derivative(i, self.N_jet[bb])
+                for a in range(p):
+                    self.gamma_perp_jet[a, bb, i] = self._ip(self.N_jet[a], Dn)
+        gp = jet_values(self.gamma_perp_jet)
+        self.frame_residuals["gamma_perp_antisymmetry"] = float(
+            np.abs(gp + gp.transpose(1, 0, 2)).max()
+        )
 
     # -- covariant derivatives of b and A --------------------------------------
 
     def _build_covariant_derivatives(self):
-        nu = self.nu
-        p = 2 * self.l
+        nu, d = self.nu, self.d
         gam = jet_values(self.gamma_jet)
         gp = jet_values(self.gamma_perp_jet)
-        b = jet_values(self.b_jet)
-        A = jet_values(self.A_jet)
-
-        nb = np.empty((nu, p, nu, nu))
-        for i in range(nu):
-            for a in range(p):
-                for j in range(nu):
-                    for k in range(nu):
-                        val = self.b_jet[a, j, k].derivative(i).value
-                        val -= np.dot(gam[:, i, j], b[a, :, k])
-                        val -= np.dot(gam[:, i, k], b[a, j, :])
-                        val += np.dot(gp[a, :, i], b[:, j, k])
-                        nb[i, a, j, k] = val
-        self.nabla_b = nb
+        self.nabla_b = covariant_derivative(
+            jet_values(self.b_jet), jet_gradient(self.b_jet), gam, gp, "ntt"
+        )
 
         # Independent route: ambient derivative of the vector-valued form,
         # then projection onto the normal frame.
-        nb2 = np.empty_like(nb)
+        w = np.empty((nu, nu, nu, d), dtype=object)
         for i in range(nu):
             for j in range(nu):
                 for k in range(j, nu):
-                    w = self._ambient_derivative(
+                    wv = self._ambient_derivative(
                         i, list(self.b_vec_jet[j, k])
                     )
                     for t in range(nu):
-                        for Ax in range(self.d):
-                            w[Ax] = w[Ax] - (
+                        for Ax in range(d):
+                            wv[Ax] = wv[Ax] - (
                                 self.gamma_jet[t, i, j]
                                 * self.b_vec_jet[t, k, Ax]
                                 + self.gamma_jet[t, i, k]
                                 * self.b_vec_jet[j, t, Ax]
                             )
-                    for a in range(p):
-                        val = self._ip(w, self.N_jet[a]).value
-                        nb2[i, a, j, k] = val
-                        nb2[i, a, k, j] = val
-        res = normalized_residual(nb, nb2)
-        self.two_path = {"two_path_nabla_b": res}
-        if res > TWO_PATH_TOL["two_path_nabla_b"]:
-            raise PathDisagreementError(
-                f"covariant derivative of b: routes differ by {res:.3e}"
-            )
+                    w[i, j, k] = w[i, k, j] = wv
+        nb2 = np.einsum(
+            "ijkA,AB,aB->iajk", jet_values(w), jet_values(self.g_amb_jet),
+            jet_values(self.N_jet),
+        )
+        self._gate("two_path_nabla_b", self.nabla_b, nb2)
 
-        nA = np.empty((nu, p, nu, nu))
-        for i in range(nu):
-            for a in range(p):
-                for k in range(nu):
-                    for j in range(nu):
-                        val = self.A_jet[a, k, j].derivative(i).value
-                        val -= np.dot(gam[:, i, j], A[a, k, :])
-                        val += np.dot(gam[k, i, :], A[a, :, j])
-                        val -= np.dot(gp[:, a, i], A[:, k, j])
-                        nA[i, a, k, j] = val
-        self.nabla_A = nA
+        self.nabla_A = covariant_derivative(
+            jet_values(self.A_jet), jet_gradient(self.A_jet), gam, gp, "nut"
+        )
 
     # -- normal curvature -------------------------------------------------------
 
@@ -572,73 +564,32 @@ class PointGeometry:
                                 comm = term if comm is None else comm + term
                             acc = acc + comm * self.g_jet[k, j]
                         rp1[i, j, a, bb] = acc
-        self.r_perp_jet = rp1
         rp1_val = jet_values(rp1)
 
-        # Route 2: curvature of the normal connection coefficients.
-        rp2 = np.empty((nu, nu, p, p))
-        for i in range(nu):
-            for j in range(nu):
-                for a in range(p):
-                    for bb in range(p):
-                        val = (
-                            self.gamma_perp_jet[bb, a, j].derivative(i).value
-                            - self.gamma_perp_jet[bb, a, i].derivative(j).value
-                            + np.dot(gp[bb, :, i], gp[:, a, j])
-                            - np.dot(gp[bb, :, j], gp[:, a, i])
-                        )
-                        rp2[i, j, a, bb] = val
-        res = normalized_residual(rp1_val, rp2)
-        self.two_path["two_path_r_perp"] = res
-        if res > TWO_PATH_TOL["two_path_r_perp"]:
-            raise PathDisagreementError(
-                f"normal curvature: routes differ by {res:.3e}"
-            )
-        self.r_perp = rp2
+        # Route 2: curvature of the normal connection coefficients,
+        # d_i gp_j - d_j gp_i + [gp_i, gp_j] as matrices [b, a].
+        half = (np.einsum("ibaj->ijab", jet_gradient(self.gamma_perp_jet))
+                + np.einsum("bci,caj->ijab", gp, gp))
+        self.r_perp = half - half.transpose(1, 0, 2, 3)
+        self._gate("two_path_r_perp", rp1_val, self.r_perp)
 
-        nrp = np.empty((nu, nu, nu, p, p))
-        for s in range(nu):
-            for i in range(nu):
-                for j in range(nu):
-                    for a in range(p):
-                        for bb in range(p):
-                            val = rp1[i, j, a, bb].derivative(s).value
-                            val += np.dot(gp[bb, :, s], rp1_val[i, j, a, :])
-                            val -= np.dot(gam[:, s, i], rp1_val[:, j, a, bb])
-                            val -= np.dot(gam[:, s, j], rp1_val[i, :, a, bb])
-                            val -= np.dot(gp[:, a, s], rp1_val[i, j, :, bb])
-                            nrp[s, i, j, a, bb] = val
-        self.nabla_r_perp = nrp
+        self.nabla_r_perp = covariant_derivative(
+            rp1_val, jet_gradient(rp1), gam, gp, "ttnn"
+        )
 
     # -- intrinsic curvature ------------------------------------------------------
 
     def _build_intrinsic_curvature(self):
         nu = self.nu
         gam = jet_values(self.gamma_jet)
-        g = jet_values(self.g_jet)
+        gp = jet_values(self.gamma_perp_jet)
 
-        dgam = np.empty((nu, nu, nu, nu))
-        for i in range(nu):
-            for t in range(nu):
-                for j in range(nu):
-                    for k in range(j, nu):
-                        v = self.gamma_jet[t, j, k].derivative(i).value
-                        dgam[i, t, j, k] = v
-                        dgam[i, t, k, j] = v
-        r1 = np.empty((nu, nu, nu, nu))
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(nu):
-                    for ll in range(nu):
-                        acc = 0.0
-                        for t in range(nu):
-                            up = (
-                                dgam[i, t, j, k] - dgam[j, t, i, k]
-                                + np.dot(gam[t, i, :], gam[:, j, k])
-                                - np.dot(gam[t, j, :], gam[:, i, k])
-                            )
-                            acc += up * g[t, ll]
-                        r1[i, j, k, ll] = acc
+        # Route 1: d_i gam_j - d_j gam_i + [gam_i, gam_j] as matrices [t, k],
+        # then the upper index lowered with g.
+        half = (np.einsum("itjk->ijtk", jet_gradient(self.gamma_jet))
+                + np.einsum("tis,sjk->ijtk", gam, gam))
+        r1 = np.einsum("ijtk,tl->ijkl", half - half.transpose(1, 0, 2, 3),
+                       jet_values(self.g_jet))
 
         # Route 2: ambient curvature minus products of the vector-valued
         # second fundamental form, kept as jets for the derivative below.
@@ -665,12 +616,7 @@ class PointGeometry:
                         )
                         r2[i, j, k, ll] = acc
         r2_val = jet_values(r2)
-        res = normalized_residual(r1, r2_val)
-        self.two_path["two_path_r"] = res
-        if res > TWO_PATH_TOL["two_path_r"]:
-            raise PathDisagreementError(
-                f"intrinsic curvature: routes differ by {res:.3e}"
-            )
+        self._gate("two_path_r", r1, r2_val)
         self.r = r1
 
         b = jet_values(self.b_jet)
@@ -685,80 +631,31 @@ class PointGeometry:
         )
         # Cross-check: coordinate covariant derivative of the jet-valued
         # curvature from route 2.
-        nrB = np.empty((nu, nu, nu, nu, nu))
-        for s in range(nu):
-            for i in range(nu):
-                for j in range(nu):
-                    for k in range(nu):
-                        for ll in range(nu):
-                            val = r2[i, j, k, ll].derivative(s).value
-                            val -= np.dot(gam[:, s, i], r2_val[:, j, k, ll])
-                            val -= np.dot(gam[:, s, j], r2_val[i, :, k, ll])
-                            val -= np.dot(gam[:, s, k], r2_val[i, j, :, ll])
-                            val -= np.dot(gam[:, s, ll], r2_val[i, j, k, :])
-                            nrB[s, i, j, k, ll] = val
-        res = normalized_residual(nrA, nrB)
-        self.two_path["two_path_nabla_r"] = res
-        if res > TWO_PATH_TOL["two_path_nabla_r"]:
-            raise PathDisagreementError(
-                f"covariant derivative of curvature: routes differ by "
-                f"{res:.3e}"
-            )
+        nrB = covariant_derivative(r2_val, jet_gradient(r2), gam, gp, "tttt")
+        self._gate("two_path_nabla_r", nrA, nrB)
         self.nabla_r = nrA
 
     # -- assembled output -----------------------------------------------------------
 
     def data(self) -> ExtrinsicData:
-        nu = self.nu
-        p = 2 * self.l
-        g = jet_values(self.g_jet)
-        dg = np.empty((nu, nu, nu))
-        for i in range(nu):
-            for k in range(nu):
-                for ll in range(nu):
-                    dg[i, k, ll] = self.g_jet[k, ll].derivative(i).value
-        dJ_tan = np.empty((nu, nu, nu))
-        for i in range(nu):
-            for k in range(nu):
-                for j in range(nu):
-                    dJ_tan[i, k, j] = self.J_tan_jet[k, j].derivative(i).value
-        dJ_nor = np.empty((nu, p, p))
-        for i in range(nu):
-            for bb in range(p):
-                for a in range(p):
-                    dJ_nor[i, bb, a] = (
-                        self.J_nor_jet[bb, a].derivative(i).value
-                    )
         return ExtrinsicData(
             case_name=self.case.name,
             u=self.u.copy(),
             m=self.m,
             l=self.l,
             c=self.c,
-            g=g,
+            g=jet_values(self.g_jet),
             g_inv=jet_values(self.g_inv_jet),
-            dg=dg,
+            dg=jet_gradient(self.g_jet),
             gamma=jet_values(self.gamma_jet),
-            T=np.array([[t.value for t in row] for row in self.T_jet]),
-            N=np.array([[v.value for v in n] for n in self.N_jet]),
+            T=jet_values(self.T_jet),
+            N=jet_values(self.N_jet),
             J_tan=jet_values(self.J_tan_jet),
             J_nor=jet_values(self.J_nor_jet),
-            dJ_tan=dJ_tan,
-            dJ_nor=dJ_nor,
+            dJ_tan=jet_gradient(self.J_tan_jet),
+            dJ_nor=jet_gradient(self.J_nor_jet),
             b=jet_values(self.b_jet),
-            db=np.array(
-                [
-                    [
-                        [
-                            [self.b_jet[a, j, k].derivative(i).value
-                             for k in range(nu)]
-                            for j in range(nu)
-                        ]
-                        for a in range(p)
-                    ]
-                    for i in range(nu)
-                ]
-            ),
+            db=jet_gradient(self.b_jet),
             A=jet_values(self.A_jet),
             gamma_perp=jet_values(self.gamma_perp_jet),
             nabla_b=self.nabla_b,
@@ -770,7 +667,7 @@ class PointGeometry:
             g_amb=jet_values(self.g_amb_jet),
             J_amb=self.J_amb,
             gamma_amb=amb.connection_tensor(
-                self.case.ambient, [f.value for f in self.F]
+                self.case.ambient, jet_values(self.F)
             ),
             two_path=dict(self.two_path),
             frame_residuals=dict(self.frame_residuals),

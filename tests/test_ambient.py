@@ -145,9 +145,10 @@ class TestConnection:
 class TestCurvature:
     def test_flat_closed_form_zero(self):
         model = amb.flat(2)
-        out = amb.curvature(
-            model, [0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0], [0, 1, 0, 0],
-            [0, 0, 1, 0],
+        g = jet_values(amb.metric(model, seed_point([0.1, 0.2, 0.3, 0.4])))
+        out = amb.curvature_operator(
+            model.c, g, amb.complex_structure(model), [1, 0, 0, 0],
+            [0, 1, 0, 0], [0, 0, 1, 0],
         )
         assert np.abs(out).max() == 0.0
 
@@ -161,7 +162,9 @@ class TestCurvature:
             J = amb.complex_structure(model)
             g = jet_values(amb.metric(model, seed_point(x)))
             JX = J @ X
-            out = amb.curvature(model, x, X, JX, JX)
+            out = amb.curvature_operator(
+                model.c, g, J, list(X), list(JX), list(JX)
+            )
             norm2 = X @ g @ X
             assert np.allclose(out, model.c * norm2 * X, atol=1e-12)
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kaehlerlab import cli
+from kaehlerlab import submanifold as sm
 
 
 def run_cli(argv):
@@ -98,6 +99,26 @@ class TestRun:
             "--tol", "eq_2_14=1e-15",
         ])
         assert code == cli.EXIT_CHECK_FAILURE
+
+    def test_route_disagreement_is_reported(self, tmp_path, monkeypatch):
+        # A negative tolerance makes every intrinsic-curvature gate fail.
+        monkeypatch.setitem(sm.TWO_PATH_TOL, "two_path_r", -1.0)
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "run", "--case", "graph_z2_c2", "--points", "2",
+            "--out", str(out),
+        ])
+        assert code == cli.EXIT_CHECK_FAILURE
+        case = json.loads(out.read_text())["cases"][0]
+        assert case["aggregates"]["skipped_points"] == 2
+        for point in case["points"]:
+            err = point["internal_error"]
+            assert err["route"] == "two_path_r"
+            assert set(err["two_path"]) == {
+                "two_path_nabla_b", "two_path_r_perp", "two_path_r",
+            }
+            assert "two_path_r" in point["skipped"]
+            assert "checks" not in point
 
     def test_text_format(self, capsys):
         code = run_cli([

@@ -13,7 +13,9 @@ from kaehlerlab.jets import (
     extract,
     fd_oracle,
     index_position,
+    jet_gradient,
     jet_matrix_inverse,
+    jet_values,
     multi_indices,
     project_head,
     seed_point,
@@ -168,6 +170,24 @@ class TestCalculus:
             assert extract(composed, alpha) == pytest.approx(
                 fd_oracle(f, [0.5], alpha, h), rel=tol, abs=tol
             )
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_gradient_of_array(self, n):
+        rng = np.random.default_rng(n)
+        size = len(multi_indices(n))
+        arr = np.empty((2, 3), dtype=object)
+        for idx in np.ndindex(arr.shape):
+            arr[idx] = Jet(n, rng.normal(size=size))
+        grad = jet_gradient(arr)
+        assert grad.shape == (n, 2, 3)
+        for i in range(n):
+            e_i = tuple(int(k == i) for k in range(n))
+            for idx in np.ndindex(arr.shape):
+                assert grad[(i,) + idx] == arr[idx].derivative(i).value
+                assert grad[(i,) + idx] == extract(arr[idx], e_i)
+        assert np.array_equal(
+            jet_values(arr), [[j.value for j in row] for row in arr]
+        )
 
     def test_project_head_drops_tail_variables(self):
         # Keeping the first two variables of a jet seeded at z = 0 gives the

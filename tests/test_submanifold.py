@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kaehlerlab import ambient as amb
+from kaehlerlab import identities as ids
 from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
 from kaehlerlab.jets import jet_values, seed_point
@@ -150,6 +151,20 @@ def _chart_segre(z):
     return [z[0], z[1], z[0] * z[1]]
 
 
+def _chart_cubic_surface(z):
+    return [z[0], z[1], z[0] * z[0] * z[1] + z[1] * z[1] * z[1]]
+
+
+def _assert_healthy(d, expected_class):
+    """Every registry check passes, every two-path gate holds, class as
+    expected."""
+    for chk in ids.run_identity_suite(d, rng_seed=3):
+        assert chk["passed"], chk
+    for key, val in d.two_path.items():
+        assert val <= sm.TWO_PATH_TOL[key], (key, val)
+    assert rec.classify(d).classification == expected_class
+
+
 class TestSurfaceInCurvedAmbient:
     def test_segre_quadric_point(self):
         # The Segre quadric CP1 x CP1 in CP3 (m = 2): a parallel surface that
@@ -160,13 +175,25 @@ class TestSurfaceInCurvedAmbient:
         )
         u = [0.3, -0.2, 0.1, 0.4]
         d = sm.extrinsic_data(case, u)
-        assert rec.classify(d).classification == rec.PARALLEL
-        for key, val in d.two_path.items():
-            assert val <= sm.TWO_PATH_TOL[key], (key, val)
+        _assert_healthy(d, rec.PARALLEL)
         want = jet_values(
             amb.christoffel(case.ambient, seed_point(case.map_values(u)))
         )
         assert np.abs(d.gamma_amb - want).max() <= 1e-12
+
+
+class TestSurfaceInFlatAmbient:
+    def test_cubic_graph_surface(self):
+        # A non-parallel surface in C3 (m = 2): four distinct tangent indices
+        # expose index-order slips that curves (two indices) cannot.
+        case = sm.ImmersionCase(
+            "cubic_graph_c3", 2, amb.flat(3), _chart_cubic_surface,
+            ((-1.0, 1.0),) * 4, sm.GENERIC,
+        )
+        rng = np.random.default_rng(37)
+        for _ in range(3):
+            d = sm.extrinsic_data(case, rng.uniform(-1, 1, 4))
+            _assert_healthy(d, rec.NON_RECURRENT)
 
 
 class TestFrameCovariance:
@@ -206,6 +233,25 @@ class TestCurvature:
             d = data_at("veronese_cp2", rng.uniform(-1, 1, 2))
             assert np.abs(d.nabla_r).max() <= 1e-7
             assert np.abs(d.nabla_r_perp).max() <= 1e-7
+
+    def test_graph_curve_gauss_curvature(self):
+        # A holomorphic graph curve w = F(z) in flat space has Gauss
+        # curvature -2 (|F''|^2 (1 + |F'|^2) - |<F', F''>|^2) / (1 + |F'|^2)^3.
+        derivatives = {
+            "graph_z2_c2": lambda z: ([2 * z], [2.0]),
+            "graph_z3_c2": lambda z: ([3 * z * z], [6 * z]),
+            "graph_c3": lambda z: ([2 * z, 3 * z * z], [2.0, 6 * z]),
+        }
+        rng = np.random.default_rng(41)
+        for name, fun in derivatives.items():
+            for _ in range(5):
+                u = rng.uniform(-1, 1, 2)
+                d1, d2 = (np.array(v, complex) for v in fun(complex(*u)))
+                s1 = 1 + np.vdot(d1, d1).real
+                K = -2 * (np.vdot(d2, d2).real * s1
+                          - abs(np.vdot(d1, d2)) ** 2) / s1 ** 3
+                got = sm.sectional_curvature(data_at(name, u))
+                assert abs(got - K) <= 1e-12, (name, u, got, K)
 
     def test_flat_graph_curvature_nontrivial(self):
         d = data_at("graph_z2_c2", [0.5, 0.3])
