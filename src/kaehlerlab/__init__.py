@@ -5,45 +5,10 @@ forms on truncated Taylor jets, assembles every frame-resolved tensor of
 the theory (second fundamental form, shape operators, normal connection,
 normal and intrinsic curvature, and their first covariant derivatives),
 and checks the structural identities relating them at randomly sampled
-points.
+points.  The interface is the ``kaehlerlab`` command (``cli``) and the
+modules listed in ``__all__``; nothing is re-exported here.
 """
 
-from .ambient import AmbientModel, flat, fubini_study
-from .jets import ComplexJet, Jet, extract, fd_oracle, seed_point, seed_variable
-from .recurrence import RecurrenceResult, classify, solve_mu, verify_theorems
-from .submanifold import (
-    CATALOG,
-    ExtrinsicData,
-    ImmersionCase,
-    PointGeometry,
-    extrinsic_data,
-    get_case,
-    sectional_curvature,
-    tensor_norms,
-)
-
-__all__ = [
-    "AmbientModel",
-    "CATALOG",
-    "ComplexJet",
-    "ExtrinsicData",
-    "ImmersionCase",
-    "Jet",
-    "PointGeometry",
-    "RecurrenceResult",
-    "classify",
-    "extract",
-    "extrinsic_data",
-    "fd_oracle",
-    "flat",
-    "fubini_study",
-    "get_case",
-    "sectional_curvature",
-    "seed_point",
-    "seed_variable",
-    "solve_mu",
-    "tensor_norms",
-    "verify_theorems",
-]
+__all__ = ["ambient", "cli", "identities", "jets", "recurrence", "submanifold"]
 
 __version__ = "0.1.0"

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import ComplexJet, Jet, jet_matrix_inverse, jet_values, seed_point
+from .jets import (
+    ComplexJet,
+    Jet,
+    jet_gradient,
+    jet_matrix_inverse,
+    jet_partials,
+    jet_values,
+    seed_point,
+)
 
 FLAT = "flat"
 FUBINI_STUDY = "fubini_study"
@@ -111,29 +119,13 @@ def christoffel_from_metric(G: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols of a jet-valued metric given in the chart ring.
 
     Jet variable A is chart coordinate A.  Returns an object array indexed
-    ``[C, A, B]`` for Gamma^C_{AB}.
+    ``[C, A, B]`` for Gamma^C_{AB}, exactly symmetric in (A, B): the
+    metric is symmetrized first.
     """
-    d = G.shape[0]
-    Ginv = jet_matrix_inverse(G)
-    dG = np.empty((d, d, d), dtype=object)
-    for A in range(d):
-        for B in range(d):
-            for C in range(B, d):
-                der = G[B, C].derivative(A)
-                dG[A, B, C] = der
-                dG[A, C, B] = der
-    Gamma = np.empty((d, d, d), dtype=object)
-    for A in range(d):
-        for B in range(A, d):
-            for C in range(d):
-                acc = None
-                for D in range(d):
-                    term = Ginv[C, D] * (dG[A, D, B] + dG[B, A, D] - dG[D, A, B])
-                    acc = term if acc is None else acc + term
-                half = acc * 0.5
-                Gamma[C, A, B] = half
-                Gamma[C, B, A] = half
-    return Gamma
+    G = (G + G.T) * 0.5
+    dG = jet_partials(G)  # [A, B, C] = d_A G_BC
+    low = dG + np.einsum("BAD->ABD", dG) - np.einsum("DAB->ABD", dG)
+    return np.einsum("CD,ABD->CAB", jet_matrix_inverse(G), low * 0.5)
 
 
 def christoffel(model: AmbientModel, x) -> np.ndarray:
@@ -147,7 +139,9 @@ def connection(model: AmbientModel, x):
     Returns a function taking vectors X, Y to the chart components of
     Gamma(X, Y)^C = Gamma^C_{AB} X^A Y^B, or ``None`` for flat space.
     Polymorphic over floats and jets: the point and both vectors are
-    sequences of ``real_dim`` matching scalars.
+    sequences of ``real_dim`` matching scalars.  Vector components may also
+    be arrays, which broadcast against each other, so one call gives
+    Gamma(X, Y) for every pair of a batch.
     For Fubini-Study, with complex components X^a = X^{2a} + i X^{2a+1} and
     rho = 1 + |w|^2,
 
@@ -190,54 +184,30 @@ def connection(model: AmbientModel, x):
 def connection_tensor(model: AmbientModel, x) -> np.ndarray:
     """Closed-form Gamma^C_{AB} at a float chart point, indexed ``[C, A, B]``."""
     d = model.real_dim
-    Gamma = np.zeros((d, d, d))
     gamma = connection(model, x)
     if gamma is None:
-        return Gamma
+        return np.zeros((d, d, d))
     basis = np.eye(d)
-    for A in range(d):
-        for B in range(d):
-            Gamma[:, A, B] = gamma(list(basis[A]), list(basis[B]))
-    return Gamma
+    return np.array(gamma(basis[:, :, None], basis[:, None, :]))
 
 
-def curvature_operator(c: float, g, J, X, Y, Z) -> list:
+def curvature_operator(c: float, g, J, X, Y, Z) -> np.ndarray:
     """Closed-form space-form curvature R(X, Y)Z; no differentiation.
 
-    Polymorphic over floats and jets: ``g`` indexes metric components,
-    ``J`` is the constant complex-structure matrix, and the vectors are
-    sequences of matching scalars.
+    Polymorphic over floats and jets: ``g`` is the metric matrix, ``J``
+    the constant complex-structure matrix, and the vectors are sequences
+    of matching scalars.  Returns the components as an array.
     """
-    d = len(X)
-
-    def inner(U, V):
-        acc = None
-        for A in range(d):
-            for B in range(d):
-                term = g[A][B] * U[A] * V[B]
-                acc = term if acc is None else acc + term
-        return acc
-
-    def apply_J(U):
-        return [sum(J[A, B] * U[B] for B in range(d)) for A in range(d)]
-
-    JX, JY, JZ = apply_J(X), apply_J(Y), apply_J(Z)
-    gYZ = inner(Y, Z)
-    gXZ = inner(X, Z)
-    gJYZ = inner(JY, Z)
-    gJXZ = inner(JX, Z)
-    gXJY = inner(X, JY)
-    out = []
-    for A in range(d):
-        term = (
-            gYZ * X[A]
-            - gXZ * Y[A]
-            + gJYZ * JX[A]
-            - gJXZ * JY[A]
-            + gXJY * JZ[A] * 2.0
-        )
-        out.append(term * (c / 4.0))
-    return out
+    X, Y, Z = np.asarray(X), np.asarray(Y), np.asarray(Z)
+    JX, JY, JZ = J @ X, J @ Y, J @ Z
+    Z_low = g @ Z
+    return (
+        (Y @ Z_low) * X
+        - (X @ Z_low) * Y
+        + (JY @ Z_low) * JX
+        - (JX @ Z_low) * JY
+        + (X @ (g @ JY)) * 2.0 * JZ
+    ) * (c / 4.0)
 
 
 def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
@@ -245,29 +215,12 @@ def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
 
     Returns the components R^D_{CAB} of R(e_A, e_B)e_C = R^D_{CAB} e_D.
     """
-    d = model.real_dim
     Gamma = christoffel(model, seed_point(x))
     Gval = jet_values(Gamma)
-    dGamma = np.empty((d, d, d, d))
-    for A in range(d):
-        for D in range(d):
-            for B in range(d):
-                for C in range(B, d):
-                    v = Gamma[D, B, C].derivative(A).value
-                    dGamma[A, D, B, C] = v
-                    dGamma[A, D, C, B] = v
-    R = np.empty((d, d, d, d))
-    for D in range(d):
-        for C in range(d):
-            for A in range(d):
-                for B in range(d):
-                    R[D, C, A, B] = (
-                        dGamma[A, D, B, C]
-                        - dGamma[B, D, A, C]
-                        + np.dot(Gval[D, A, :], Gval[:, B, C])
-                        - np.dot(Gval[D, B, :], Gval[:, A, C])
-                    )
-    return R
+    # half[D, C, A, B] = d_A Gamma^D_BC + Gamma^D_As Gamma^s_BC
+    half = (np.einsum("ADBC->DCAB", jet_gradient(Gamma))
+            + np.einsum("DAs,sBC->DCAB", Gval, Gval))
+    return half - half.transpose(0, 1, 3, 2)
 
 
 def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
@@ -280,13 +233,9 @@ def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
     for A in range(d):
         for B in range(d):
             for C in range(d):
-                vec = np.array(
-                    curvature_operator(
-                        model.c, g, J, list(basis[A]), list(basis[B]),
-                        list(basis[C])
-                    )
+                R[:, C, A, B] = curvature_operator(
+                    model.c, g, J, basis[A], basis[B], basis[C]
                 )
-                R[:, C, A, B] = vec
     return R
 
 
@@ -307,14 +256,9 @@ def check_kaehler(model: AmbientModel, x, metric_perturbation=None) -> dict:
     ``metric_perturbation`` (a constant matrix added to the metric) exists
     for negative-control tests; failures are reported, never raised.
     """
-    seeds = seed_point(x)
-    G = metric(model, seeds)
+    G = metric(model, seed_point(x))
     if metric_perturbation is not None:
-        P = np.asarray(metric_perturbation, float)
-        d = model.real_dim
-        for A in range(d):
-            for B in range(d):
-                G[A, B] = G[A, B] + Jet.constant(P[A, B], seeds[0].n)
+        G = G + np.asarray(metric_perturbation, float)
     gval = jet_values(G)
     J = complex_structure(model)
 

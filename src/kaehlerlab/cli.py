@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -58,7 +59,9 @@ class RunConfig:
             return names
         unknown = [c for c in self.cases if c not in names]
         if unknown:
-            raise ConfigError(f"unknown case names: {', '.join(unknown)}")
+            raise ConfigError(
+                f"unknown case names: {', '.join(map(str, unknown))}"
+            )
         return [c for c in names if c in self.cases]
 
     def validate(self):
@@ -68,9 +71,17 @@ class RunConfig:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"format must be json or text, got {self.fmt!r}")
-        for key in self.tolerances:
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a file path, got {self.out!r}")
+        for key, value in self.tolerances.items():
             if key not in identities.REGISTRY_BY_ID:
                 raise ConfigError(f"unknown check id in tolerance override: {key}")
+            # NaN would fail every point and cannot be written as JSON; an
+            # infinite tolerance would switch the check off silently.
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(
+                    f"tolerance for {key} must be finite and >= 0, got {value}"
+                )
         self.resolved_cases()
 
 
@@ -263,10 +274,17 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        config.cases = list(raw.get("cases", config.cases))
-        config.points = int(raw.get("points", config.points))
-        config.seed = int(raw.get("seed", _default_seed()))
-        config.tolerances = dict(raw.get("tolerances", {}))
+        default_seed = _default_seed()
+        try:
+            config.cases = list(raw.get("cases", config.cases))
+            config.points = int(raw.get("points", config.points))
+            config.seed = int(raw.get("seed", default_seed))
+            config.tolerances = {
+                key: float(value)
+                for key, value in dict(raw.get("tolerances", {})).items()
+            }
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value in config file: {exc}") from exc
         config.out = raw.get("out", config.out)
         config.fmt = raw.get("format", config.fmt)
     else:

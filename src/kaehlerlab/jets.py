@@ -456,3 +456,13 @@ def jet_gradient(arr) -> np.ndarray:
     arr = np.asarray(arr, dtype=object)
     n = arr.flat[0].n
     return np.moveaxis(_coefficient_stack(arr)[..., 1:n + 1], -1, 0)
+
+
+def jet_partials(arr) -> np.ndarray:
+    """Partial derivatives of an array of jets, as jets, indexed
+    ``[i, *arr.shape]``: the jet counterpart of ``jet_gradient``."""
+    arr = np.asarray(arr, dtype=object)
+    return np.stack([
+        np.frompyfunc(lambda jet: jet.derivative(i), 1, 1)(arr)
+        for i in range(arr.flat[0].n)
+    ])

@@ -10,10 +10,12 @@ curvature and of the intrinsic curvature.
 Derivative bookkeeping is the delicate part.  All quantities are assembled
 in jet arithmetic over the immersion parameters alone: the ambient metric
 and the closed-form ambient connection are evaluated directly on the jets
-of F(u), so no ambient chart derivative is taken.  Quantities whose
-derivative we take downstream are kept as jets; everything else is read off
-their coefficients (``jet_values``, ``jet_gradient``) and assembled with
-array algebra, every covariant derivative through ``covariant_derivative``.
+of F(u), so no ambient chart derivative is taken.  Jet tensors are numpy
+object arrays of scalar jets, contracted with ``@`` and ``np.einsum``.
+Quantities whose derivative we take downstream are kept as jets; everything
+else is read off their coefficients (``jet_values``, ``jet_gradient``) and
+assembled with float array algebra, every covariant derivative through
+``covariant_derivative``.
 Wherever the construction admits two genuinely different assembly routes
 (covariant derivative of b, normal curvature, intrinsic curvature and its
 derivative) both are computed, and a disagreement raises
@@ -34,6 +36,7 @@ from .jets import (
     Jet,
     jet_gradient,
     jet_matrix_inverse,
+    jet_partials,
     jet_values,
     seed_variable,
 )
@@ -97,7 +100,7 @@ class ImmersionCase:
     def l(self) -> int:
         return self.ambient.complex_dim - self.m
 
-    def map_jets(self, u) -> list:
+    def map_jets(self, u) -> np.ndarray:
         """Real chart coordinates of F(u) as jets in the parameter ring."""
         nu = 2 * self.m
         u = np.asarray(u, dtype=float)
@@ -110,7 +113,7 @@ class ImmersionCase:
         for comp in w:
             out.append(comp.re)
             out.append(comp.im)
-        return out
+        return np.array(out, dtype=object)
 
     def map_values(self, u) -> np.ndarray:
         """F(u) as floats; the chart runs unchanged on Python complex."""
@@ -282,67 +285,43 @@ class PointGeometry:
         self.F = self.case.map_jets(self.u)
         self.g_amb_jet = amb.metric(self.case.ambient, self.F)
         self.connection_amb = amb.connection(self.case.ambient, self.F)
+        self.gamma_amb = amb.connection_tensor(self.case.ambient,
+                                               jet_values(self.F))
 
-    def _ip(self, U, V) -> Jet:
-        """Ambient inner product of two jet vectors at F(u)."""
-        acc = None
-        for A in range(self.d):
-            for B in range(self.d):
-                term = self.g_amb_jet[A, B] * U[A] * V[B]
-                acc = term if acc is None else acc + term
-        return acc
-
-    def _ambient_derivative(self, i: int, V) -> list:
-        """Chart components of the ambient covariant derivative along d/du^i."""
-        out = [v.derivative(i) for v in V]
+    def _ambient_derivative(self, V) -> np.ndarray:
+        """Ambient covariant derivative of the jet vectors ``V[b, A]``
+        (chart components) along each d/du^i, indexed ``[i, b, A]``."""
+        out = jet_partials(V)
         if self.connection_amb is not None:
-            gam = self.connection_amb(self.T_jet[i], V)
-            out = [o + g for o, g in zip(out, gam)]
+            # Components lead, so one call covers every (d/du^i, V_b) pair.
+            gam = self.connection_amb(self.T_jet.T[:, :, None], V.T[:, None, :])
+            out = out + np.stack(gam, axis=-1)
         return out
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
 
     def _build_tangent(self):
-        nu, d = self.nu, self.d
-        self.T_jet = [[self.F[A].derivative(i) for A in range(d)]
-                      for i in range(nu)]
+        self.T_jet = jet_partials(self.F)
         sv = np.linalg.svd(jet_values(self.T_jet), compute_uv=False)
         if sv.min() < RANK_TOL:
             raise DegeneratePointError(
                 f"{self.case.name}: differential rank-deficient at u={self.u}"
             )
-        self.g_jet = np.empty((nu, nu), dtype=object)
-        for i in range(nu):
-            for j in range(i, nu):
-                gij = self._ip(self.T_jet[i], self.T_jet[j])
-                self.g_jet[i, j] = gij
-                self.g_jet[j, i] = gij
+        self.T_low = self.T_jet @ self.g_amb_jet
+        g = self.T_low @ self.T_jet.T
+        # Exactly symmetric, so the Christoffel symbols are too.
+        self.g_jet = (g + g.T) * 0.5
         self.g_inv_jet = jet_matrix_inverse(self.g_jet)
-        low = np.empty((nu, nu, nu), dtype=object)
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(nu):
-                    low[i, j, k] = (
-                        self.g_jet[j, k].derivative(i)
-                        + self.g_jet[i, k].derivative(j)
-                        - self.g_jet[i, j].derivative(k)
-                    ) * 0.5
-        self.gamma_jet = np.empty((nu, nu, nu), dtype=object)
-        for k in range(nu):
-            for i in range(nu):
-                for j in range(i, nu):
-                    acc = None
-                    for t in range(nu):
-                        term = self.g_inv_jet[k, t] * low[i, j, t]
-                        acc = term if acc is None else acc + term
-                    self.gamma_jet[k, i, j] = acc
-                    self.gamma_jet[k, j, i] = acc
+        dg = jet_partials(self.g_jet)  # [i, j, k] = d_i g_jk
+        low = dg + np.einsum("jik->ijk", dg) - np.einsum("kij->ijk", dg)
+        self.gamma_jet = np.einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)
 
     # -- adapted normal frame ------------------------------------------------
 
     def _build_normal_frame(self, normal_seed_mix):
         nu, d = self.nu, self.d
         p = 2 * self.l
+        G = self.g_amb_jet
         if normal_seed_mix is None:
             candidates = np.eye(d)
         else:
@@ -353,36 +332,27 @@ class PointGeometry:
         for row in candidates:
             if len(normals) == p:
                 break
-            v = [Jet.constant(row[A], nu) for A in range(d)]
+            v = np.array([Jet.constant(x, nu) for x in row], dtype=object)
             # Remove the tangential part (coordinate frame, so through g^ij).
-            coef = [self._ip(v, self.T_jet[i]) for i in range(nu)]
-            for k in range(nu):
-                w = None
-                for i in range(nu):
-                    term = self.g_inv_jet[k, i] * coef[i]
-                    w = term if w is None else w + term
-                for A in range(d):
-                    v[A] = v[A] - w * self.T_jet[k][A]
-            for nvec in normals:
-                c = self._ip(v, nvec)
-                for A in range(d):
-                    v[A] = v[A] - c * nvec[A]
-            norm2 = self._ip(v, v)
+            v = v - (self.g_inv_jet @ (self.T_low @ v)) @ self.T_jet
+            for n in normals:
+                v = v - ((n @ G) @ v) * n
+            norm2 = (v @ G) @ v
             if norm2.value < FRAME_NORM_FLOOR ** 2:
                 continue
-            inv_norm = norm2.sqrt().reciprocal()
-            n0 = [v[A] * inv_norm for A in range(d)]
+            n0 = v * norm2.sqrt().reciprocal()
             normals.append(n0)
             if len(normals) < p:
-                normals.append(self._jvec(n0))
+                normals.append(self.J_amb @ n0)
         if len(normals) != p:
             raise FrameConstructionError(
                 f"{self.case.name}: only {len(normals)} of {p} normal "
                 f"directions found at u={self.u}"
             )
-        self.N_jet = normals
-        T, N = jet_values(self.T_jet), jet_values(normals)
-        g_amb = jet_values(self.g_amb_jet)
+        self.N_jet = np.array(normals)
+        self.N_low = self.N_jet @ G
+        T, N = jet_values(self.T_jet), jet_values(self.N_jet)
+        g_amb = jet_values(G)
         self.frame_residuals = {
             "normal_orthonormality":
                 float(np.abs(N @ g_amb @ N.T - np.eye(p)).max()),
@@ -391,36 +361,13 @@ class PointGeometry:
 
     # -- complex structure in the adapted frames -----------------------------
 
-    def _jvec(self, U) -> list:
-        d = self.d
-        out = []
-        for A in range(d):
-            acc = None
-            for B in range(d):
-                if self.J_amb[A, B] == 0.0:
-                    continue
-                term = U[B] * self.J_amb[A, B]
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Jet(self.nu))
-        return out
-
     def _build_j_frames(self):
-        nu = self.nu
-        p = 2 * self.l
-        JT = [self._jvec(self.T_jet[j]) for j in range(nu)]
-        self.J_tan_jet = np.empty((nu, nu), dtype=object)
-        for j in range(nu):
-            coef = [self._ip(JT[j], self.T_jet[i]) for i in range(nu)]
-            for k in range(nu):
-                acc = None
-                for i in range(nu):
-                    term = self.g_inv_jet[k, i] * coef[i]
-                    acc = term if acc is None else acc + term
-                self.J_tan_jet[k, j] = acc
+        JT = self.J_amb @ self.T_jet.T  # column j is J d/du^j
+        self.J_tan_jet = self.g_inv_jet @ (self.T_low @ JT)
         # J-invariance of the tangent space: JT_j must lie in the span.
-        T = jet_values(self.T_jet)
         worst = float(np.abs(
-            jet_values(JT) - jet_values(self.J_tan_jet).T @ T
+            jet_values(JT)
+            - jet_values(self.T_jet).T @ jet_values(self.J_tan_jet)
         ).max())
         self.frame_residuals["tangent_j_invariance"] = worst
         if worst > J_INVARIANCE_TOL:
@@ -428,55 +375,25 @@ class PointGeometry:
                 f"{self.case.name}: tangent space not J-invariant at "
                 f"u={self.u} (residual {worst:.3e})"
             )
-        self.J_nor_jet = np.empty((p, p), dtype=object)
-        for a in range(p):
-            Jn = self._jvec(self.N_jet[a])
-            for bb in range(p):
-                self.J_nor_jet[bb, a] = self._ip(self.N_jet[bb], Jn)
+        self.J_nor_jet = self.N_low @ (self.J_amb @ self.N_jet.T)
 
     # -- second fundamental form and shape operators --------------------------
 
     def _build_second_fundamental_form(self):
-        nu, d = self.nu, self.d
-        p = 2 * self.l
-        self.b_vec_jet = np.empty((nu, nu, d), dtype=object)
-        for i in range(nu):
-            for j in range(i, nu):
-                dT = self._ambient_derivative(i, self.T_jet[j])
-                for A in range(d):
-                    acc = dT[A]
-                    for k in range(nu):
-                        acc = acc - self.gamma_jet[k, i, j] * self.T_jet[k][A]
-                    self.b_vec_jet[i, j, A] = acc
-                    self.b_vec_jet[j, i, A] = acc
-        self.b_jet = np.empty((p, nu, nu), dtype=object)
-        for a in range(p):
-            for i in range(nu):
-                for j in range(i, nu):
-                    val = self._ip(list(self.b_vec_jet[i, j]), self.N_jet[a])
-                    self.b_jet[a, i, j] = val
-                    self.b_jet[a, j, i] = val
-        self.A_jet = np.empty((p, nu, nu), dtype=object)
-        for a in range(p):
-            for k in range(nu):
-                for j in range(nu):
-                    acc = None
-                    for t in range(nu):
-                        term = self.b_jet[a, j, t] * self.g_inv_jet[t, k]
-                        acc = term if acc is None else acc + term
-                    self.A_jet[a, k, j] = acc
+        self.b_vec_jet = (
+            self._ambient_derivative(self.T_jet)
+            - np.einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
+        )
+        self.b_jet = np.einsum("ijA,aA->aij", self.b_vec_jet, self.N_low)
+        # A[a, k, j] = b[a, j, t] g^tk
+        self.A_jet = (self.b_jet @ self.g_inv_jet).transpose(0, 2, 1)
 
     # -- normal connection ----------------------------------------------------
 
     def _build_normal_connection(self):
-        nu = self.nu
-        p = 2 * self.l
-        self.gamma_perp_jet = np.empty((p, p, nu), dtype=object)
-        for i in range(nu):
-            for bb in range(p):
-                Dn = self._ambient_derivative(i, self.N_jet[bb])
-                for a in range(p):
-                    self.gamma_perp_jet[a, bb, i] = self._ip(self.N_jet[a], Dn)
+        self.gamma_perp_jet = np.einsum(
+            "aA,ibA->abi", self.N_low, self._ambient_derivative(self.N_jet)
+        )
         gp = jet_values(self.gamma_perp_jet)
         self.frame_residuals["gamma_perp_antisymmetry"] = float(
             np.abs(gp + gp.transpose(1, 0, 2)).max()
@@ -485,7 +402,6 @@ class PointGeometry:
     # -- covariant derivatives of b and A --------------------------------------
 
     def _build_covariant_derivatives(self):
-        nu, d = self.nu, self.d
         gam = jet_values(self.gamma_jet)
         gp = jet_values(self.gamma_perp_jet)
         self.nabla_b = covariant_derivative(
@@ -493,77 +409,57 @@ class PointGeometry:
         )
 
         # Independent route: ambient derivative of the vector-valued form,
-        # then projection onto the normal frame.
-        w = np.empty((nu, nu, nu, d), dtype=object)
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(j, nu):
-                    wv = self._ambient_derivative(
-                        i, list(self.b_vec_jet[j, k])
-                    )
-                    for t in range(nu):
-                        for Ax in range(d):
-                            wv[Ax] = wv[Ax] - (
-                                self.gamma_jet[t, i, j]
-                                * self.b_vec_jet[t, k, Ax]
-                                + self.gamma_jet[t, i, k]
-                                * self.b_vec_jet[j, t, Ax]
-                            )
-                    w[i, j, k] = w[i, k, j] = wv
-        nb2 = np.einsum(
-            "ijkA,AB,aB->iajk", jet_values(w), jet_values(self.g_amb_jet),
-            jet_values(self.N_jet),
+        # then projection onto the normal frame.  Only its value is needed,
+        # so it is assembled in floats with the ambient connection at F(u).
+        bv = jet_values(self.b_vec_jet)
+        w = (
+            jet_gradient(self.b_vec_jet)
+            + np.einsum("CAB,iA,jkB->ijkC", self.gamma_amb,
+                        jet_values(self.T_jet), bv)
+            - np.einsum("tij,tkA->ijkA", gam, bv)
+            - np.einsum("tik,jtA->ijkA", gam, bv)
         )
+        nb2 = np.einsum("ijkA,aA->iajk", w, jet_values(self.N_low))
         self._gate("two_path_nabla_b", self.nabla_b, nb2)
 
         self.nabla_A = covariant_derivative(
             jet_values(self.A_jet), jet_gradient(self.A_jet), gam, gp, "nut"
         )
 
+    # -- ambient curvature ------------------------------------------------------
+
+    def _ambient_curvature(self, Z, W_low) -> np.ndarray:
+        """Closed-form <R(d/du^i, d/du^j) Z_a, W_b> as jets, indexed
+        ``[i, j, a, b]``, from chart-component vectors ``Z`` and lowered
+        ``W_low``.  R is antisymmetric in (i, j), so the operator runs for
+        i < j only."""
+        nu = self.nu
+        out = np.full((nu, nu, len(Z), len(W_low)), Jet(nu), dtype=object)
+        for i in range(nu):
+            for j in range(i + 1, nu):
+                RZ = np.array([
+                    amb.curvature_operator(self.c, self.g_amb_jet, self.J_amb,
+                                           self.T_jet[i], self.T_jet[j], z)
+                    for z in Z
+                ])
+                out[i, j] = RZ @ W_low.T
+                out[j, i] = -out[i, j]
+        return out
+
     # -- normal curvature -------------------------------------------------------
 
     def _build_normal_curvature(self):
-        nu = self.nu
-        p = 2 * self.l
         gp = jet_values(self.gamma_perp_jet)
         gam = jet_values(self.gamma_jet)
 
-        # Route 1: ambient curvature plus shape-operator commutator, kept as
-        # jets so the covariant derivative of the normal curvature can be
-        # differentiated from it.
-        rp1 = np.empty((nu, nu, p, p), dtype=object)
-        for i in range(nu):
-            for j in range(nu):
-                if j < i:
-                    for a in range(p):
-                        for bb in range(p):
-                            rp1[i, j, a, bb] = -rp1[j, i, a, bb]
-                    continue
-                for a in range(p):
-                    Rt = amb.curvature_operator(
-                        self.c, self.g_amb_jet, self.J_amb,
-                        self.T_jet[i], self.T_jet[j], self.N_jet[a],
-                    ) if self.c != 0.0 else None
-                    for bb in range(p):
-                        if i == j:
-                            rp1[i, j, a, bb] = Jet(nu)
-                            continue
-                        acc = (
-                            self._ip(Rt, self.N_jet[bb])
-                            if Rt is not None else Jet(nu)
-                        )
-                        # + g([A_a, A_b] d_i, d_j)
-                        for k in range(nu):
-                            comm = None
-                            for t in range(nu):
-                                term = (
-                                    self.A_jet[a, k, t] * self.A_jet[bb, t, i]
-                                    - self.A_jet[bb, k, t]
-                                    * self.A_jet[a, t, i]
-                                )
-                                comm = term if comm is None else comm + term
-                            acc = acc + comm * self.g_jet[k, j]
-                        rp1[i, j, a, bb] = acc
+        # Route 1: ambient curvature plus shape-operator commutator,
+        # g([A_a, A_b] d_i, d_j), kept as jets so the covariant derivative of
+        # the normal curvature can be differentiated from it.
+        AA = self.A_jet[:, None] @ self.A_jet[None, :]  # [a, b] = A_a A_b
+        rp1 = np.einsum("abki,kj->ijab", AA - AA.transpose(1, 0, 2, 3),
+                        self.g_jet)
+        if self.c != 0.0:
+            rp1 = rp1 + self._ambient_curvature(self.N_jet, self.N_low)
         rp1_val = jet_values(rp1)
 
         # Route 2: curvature of the normal connection coefficients,
@@ -580,7 +476,6 @@ class PointGeometry:
     # -- intrinsic curvature ------------------------------------------------------
 
     def _build_intrinsic_curvature(self):
-        nu = self.nu
         gam = jet_values(self.gamma_jet)
         gp = jet_values(self.gamma_perp_jet)
 
@@ -593,28 +488,12 @@ class PointGeometry:
 
         # Route 2: ambient curvature minus products of the vector-valued
         # second fundamental form, kept as jets for the derivative below.
-        r2 = np.empty((nu, nu, nu, nu), dtype=object)
-        for i in range(nu):
-            for j in range(nu):
-                for k in range(nu):
-                    Rt = amb.curvature_operator(
-                        self.c, self.g_amb_jet, self.J_amb,
-                        self.T_jet[i], self.T_jet[j], self.T_jet[k],
-                    ) if self.c != 0.0 else None
-                    for ll in range(nu):
-                        acc = (
-                            self._ip(Rt, self.T_jet[ll])
-                            if Rt is not None else Jet(nu)
-                        )
-                        acc = acc - self._ip(
-                            list(self.b_vec_jet[i, k]),
-                            list(self.b_vec_jet[j, ll]),
-                        )
-                        acc = acc + self._ip(
-                            list(self.b_vec_jet[i, ll]),
-                            list(self.b_vec_jet[j, k]),
-                        )
-                        r2[i, j, k, ll] = acc
+        # bb[i, j, k, l] = <b(d_i, d_k), b(d_j, d_l)>
+        bb = np.einsum("ikA,jlA->ijkl", self.b_vec_jet @ self.g_amb_jet,
+                       self.b_vec_jet)
+        r2 = bb.swapaxes(2, 3) - bb
+        if self.c != 0.0:
+            r2 = r2 + self._ambient_curvature(self.T_jet, self.T_low)
         r2_val = jet_values(r2)
         self._gate("two_path_r", r1, r2_val)
         self.r = r1
@@ -666,9 +545,7 @@ class PointGeometry:
             nabla_r=self.nabla_r,
             g_amb=jet_values(self.g_amb_jet),
             J_amb=self.J_amb,
-            gamma_amb=amb.connection_tensor(
-                self.case.ambient, jet_values(self.F)
-            ),
+            gamma_amb=self.gamma_amb,
             two_path=dict(self.two_path),
             frame_residuals=dict(self.frame_residuals),
         )

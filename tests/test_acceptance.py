@@ -161,7 +161,7 @@ def test_6_mu_recovery():
     report("6 recurrence-form recovery and non-recurrent detection", ok)
 
 
-def test_7_negative_controls():
+def test_7_negative_controls(tmp_path):
     data = sm.extrinsic_data(sm.get_case("graph_z2_c2"), [0.5, 0.2])
     rng = np.random.default_rng(1007)
     noise = 1e-3 * rng.uniform(-1, 1, data.b.shape)
@@ -170,10 +170,16 @@ def test_7_negative_controls():
                                      b_override=data.b + noise)
     by_id = {r["id"]: r for r in results}
     ok = by_id["eq_2_1_duality"]["residual"] >= 1e-4
-    code = cli.main([
-        "run", "--case", "veronese_cp2", "--points", "10",
-        "--tol", "eq_2_14=1e-15", "--out", "/dev/null",
-    ])
+    # Half the largest residual a clean run reports is overtight whatever
+    # the round-off, so the override must fail the run.
+    out = tmp_path / "report.json"
+    argv = ["run", "--case", "veronese_cp2", "--points", "10",
+            "--out", str(out)]
+    ok &= cli.main(argv) == cli.EXIT_OK
+    worst = json.loads(out.read_text())["cases"][0]["aggregates"][
+        "max_residual_per_check"]["eq_2_14"]
+    ok &= worst > 0.0
+    code = cli.main(argv + ["--tol", f"eq_2_14={worst / 2}"])
     ok &= code == cli.EXIT_CHECK_FAILURE
     report("7 negative controls: perturbed b breaks duality; overtight "
            "tolerance exits 1", ok)

@@ -37,6 +37,24 @@ class TestConfig:
             ["run", "--case", "linear_c2", "--tol", "eq_2_14"]
         ) == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_non_finite_or_negative_tolerance(self, value):
+        assert run_cli(
+            ["run", "--case", "linear_c2", "--tol", f"eq_2_14={value}"]
+        ) == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("raw", [
+        {"points": "many"},
+        {"tolerances": ["x"]},
+        {"tolerances": {"eq_2_14": "NaN"}},
+        {"cases": [1]},
+        {"out": True},
+    ])
+    def test_bad_config_file_field(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cases": ["linear_c2"], "points": 1, **raw}))
+        assert run_cli(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG_ERROR
+
     def test_bad_points(self):
         assert run_cli(
             ["run", "--case", "linear_c2", "--points", "0"]
@@ -93,11 +111,17 @@ class TestRun:
         assert agg["all_classifications_matched"] is True
         assert agg["max_residual"] <= 1e-8
 
-    def test_tight_tolerance_exits_one(self):
-        code = run_cli([
-            "run", "--case", "veronese_cp2", "--points", "10",
-            "--tol", "eq_2_14=1e-15",
-        ])
+    def test_tight_tolerance_exits_one(self, tmp_path):
+        # Half the largest residual the run itself reports is overtight
+        # whatever the round-off, so the override must fail the run.
+        out = tmp_path / "report.json"
+        argv = ["run", "--case", "veronese_cp2", "--points", "10",
+                "--out", str(out)]
+        assert run_cli(argv) == 0
+        aggregates = json.loads(out.read_text())["cases"][0]["aggregates"]
+        worst = aggregates["max_residual_per_check"]["eq_2_14"]
+        assert worst > 0.0
+        code = run_cli(argv + ["--tol", f"eq_2_14={worst / 2}"])
         assert code == cli.EXIT_CHECK_FAILURE
 
     def test_route_disagreement_is_reported(self, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from kaehlerlab.jets import (
     index_position,
     jet_gradient,
     jet_matrix_inverse,
+    jet_partials,
     jet_values,
     multi_indices,
     project_head,
@@ -188,6 +189,11 @@ class TestCalculus:
         assert np.array_equal(
             jet_values(arr), [[j.value for j in row] for row in arr]
         )
+        partials = jet_partials(arr)
+        assert partials.shape == (n, 2, 3)
+        for i in range(n):
+            for idx in np.ndindex(arr.shape):
+                assert partials[(i,) + idx] == arr[idx].derivative(i)
 
     def test_project_head_drops_tail_variables(self):
         # Keeping the first two variables of a jet seeded at z = 0 gives the

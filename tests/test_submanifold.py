@@ -165,14 +165,37 @@ def _assert_healthy(d, expected_class):
     assert rec.classify(d).classification == expected_class
 
 
+SEGRE = sm.ImmersionCase(
+    "segre_cp1xcp1", 2, amb.fubini_study(4.0, 3), _chart_segre,
+    ((-1.0, 1.0),) * 4, sm.PARALLEL,
+)
+
+
+class TestAmbientCurvatureTerm:
+    @pytest.mark.parametrize("case, u", [
+        (sm.get_case("veronese_cp2"), [0.3, -0.6]),
+        (SEGRE, [0.3, -0.2, 0.1, 0.4]),
+    ])
+    def test_matches_closed_form_tensor(self, case, u):
+        # The c != 0 term of both curvature routes, <R(d_i, d_j) Z, W> with
+        # Z, W normal (rp1) or tangent (r2), against the float closed form
+        # over the chart basis; covers the (i, j) antisymmetric fill.
+        geo = sm.PointGeometry(case, u)
+        R = amb.curvature_closed_form_tensor(case.ambient, case.map_values(u))
+        T, g_amb = jet_values(geo.T_jet), jet_values(geo.g_amb_jet)
+        for Z_jet, Z_low in ((geo.N_jet, geo.N_low), (geo.T_jet, geo.T_low)):
+            Z = jet_values(Z_jet)
+            want = np.einsum("DCAB,iA,jB,aC,DE,bE->ijab", R, T, T, Z, g_amb, Z)
+            got = jet_values(geo._ambient_curvature(Z_jet, Z_low))
+            assert np.abs(want).max() >= 0.1
+            assert np.abs(got - want).max() <= 1e-12
+
+
 class TestSurfaceInCurvedAmbient:
     def test_segre_quadric_point(self):
         # The Segre quadric CP1 x CP1 in CP3 (m = 2): a parallel surface that
         # runs the ambient connection with four tangent directions.
-        case = sm.ImmersionCase(
-            "segre_cp1xcp1", 2, amb.fubini_study(4.0, 3), _chart_segre,
-            ((-1.0, 1.0),) * 4, sm.PARALLEL,
-        )
+        case = SEGRE
         u = [0.3, -0.2, 0.1, 0.4]
         d = sm.extrinsic_data(case, u)
         _assert_healthy(d, rec.PARALLEL)
