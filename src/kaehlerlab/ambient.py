@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import (
-    ComplexJet,
     Jet,
+    einsum,
     jet_gradient,
     jet_matrix_inverse,
     jet_partials,
     jet_values,
     seed_point,
+    stack,
 )
 
 FLAT = "flat"
@@ -70,62 +71,47 @@ def complex_structure(model: AmbientModel) -> np.ndarray:
     return J
 
 
-def metric(model: AmbientModel, x) -> np.ndarray:
-    """Metric components as an object array of jets at a chart point.
+def metric(model: AmbientModel, x: Jet) -> Jet:
+    """Metric components as a ``(d, d)`` jet at a chart point.
 
-    ``x`` is a sequence of ``real_dim`` jets (or floats, promoted to
-    constants once at least one entry is a jet).
+    ``x`` is the chart point as a jet of shape ``(real_dim,)``.
     """
     d = model.real_dim
     if len(x) != d:
         raise ValueError(f"chart point has {len(x)} components, expected {d}")
-    n = next(v.n for v in x if isinstance(v, Jet))
-    x = [v if isinstance(v, Jet) else Jet.constant(v, n) for v in x]
-
-    G = np.empty((d, d), dtype=object)
     if model.kind == FLAT:
-        for A in range(d):
-            for B in range(d):
-                G[A, B] = Jet.constant(1.0 if A == B else 0.0, n)
-        return G
+        return Jet.constant(np.eye(d), x.n)
 
     # Fubini-Study: Hermitian components h_{ab} = k (rho d_ab - wbar_a w_b)/rho^2
     # with rho = 1 + |w|^2 and k = 4/c; the real metric is g = Re h under the
     # identification of a real tangent vector with its complex components.
     N = model.complex_dim
     k = 4.0 / model.c
-    w = [ComplexJet(x[2 * a], x[2 * a + 1]) for a in range(N)]
-    rho = Jet.constant(1.0, n)
-    for a in range(N):
-        rho = rho + w[a].abs2()
+    wr, wi = x[0::2], x[1::2]
+    rho = 1.0 + (x * x).sum()
     inv_rho2 = (rho * rho).reciprocal()
-    for a in range(N):
-        for bb in range(N):
-            cross = w[a].conj() * w[bb]  # wbar_a w_b
-            s_re = -cross.re
-            s_im = -cross.im
-            if a == bb:
-                s_re = s_re + rho
-            s_re = s_re * inv_rho2 * k  # Re h_{ab}
-            s_im = s_im * inv_rho2 * k  # Im h_{ab}
-            G[2 * a, 2 * bb] = s_re
-            G[2 * a + 1, 2 * bb + 1] = s_re.copy()
-            G[2 * a, 2 * bb + 1] = s_im
-            G[2 * a + 1, 2 * bb] = -s_im
-    return G
+    # wbar_a w_b, indexed [a, b]
+    cross_re = wr[:, None] * wr[None, :] + wi[:, None] * wi[None, :]
+    cross_im = wr[:, None] * wi[None, :] - wi[:, None] * wr[None, :]
+    s_re = (rho * np.eye(N) - cross_re) * inv_rho2 * k  # Re h_{ab}
+    s_im = -cross_im * inv_rho2 * k  # Im h_{ab}
+    # Real blocks [[Re h, Im h], [-Im h, Re h]] on the pairs (2a, 2a + 1).
+    G = stack([stack([s_re, s_im], axis=-1), stack([-s_im, s_re], axis=-1)],
+              axis=1)
+    return G.reshape(d, d)
 
 
-def christoffel_from_metric(G: np.ndarray) -> np.ndarray:
+def christoffel_from_metric(G: Jet) -> Jet:
     """Levi-Civita symbols of a jet-valued metric given in the chart ring.
 
-    Jet variable A is chart coordinate A.  Returns an object array indexed
+    Jet variable A is chart coordinate A.  Returns a jet indexed
     ``[C, A, B]`` for Gamma^C_{AB}, exactly symmetric in (A, B): the
     metric is symmetrized first.
     """
     G = (G + G.T) * 0.5
     dG = jet_partials(G)  # [A, B, C] = d_A G_BC
-    low = dG + np.einsum("BAD->ABD", dG) - np.einsum("DAB->ABD", dG)
-    return np.einsum("CD,ABD->CAB", jet_matrix_inverse(G), low * 0.5)
+    low = dG + einsum("BAD->ABD", dG) - einsum("DAB->ABD", dG)
+    return einsum("CD,ABD->CAB", jet_matrix_inverse(G), low * 0.5)
 
 
 def christoffel(model: AmbientModel, x) -> np.ndarray:
@@ -138,10 +124,10 @@ def connection(model: AmbientModel, x):
 
     Returns a function taking vectors X, Y to the chart components of
     Gamma(X, Y)^C = Gamma^C_{AB} X^A Y^B, or ``None`` for flat space.
-    Polymorphic over floats and jets: the point and both vectors are
-    sequences of ``real_dim`` matching scalars.  Vector components may also
-    be arrays, which broadcast against each other, so one call gives
-    Gamma(X, Y) for every pair of a batch.
+    Polymorphic over floats and jets: the point has shape ``(real_dim,)``,
+    and the vectors carry their components on the first axis and broadcast
+    against each other over the rest, so one call gives Gamma(X, Y) for
+    every pair of a batch (components first in the result too).
     For Fubini-Study, with complex components X^a = X^{2a} + i X^{2a+1} and
     rho = 1 + |w|^2,
 
@@ -152,31 +138,27 @@ def connection(model: AmbientModel, x):
     """
     if model.kind == FLAT:
         return None
-    N = model.complex_dim
-    rho = 1.0
-    for A in range(2 * N):
-        rho = rho + x[A] * x[A]
-    inv_rho = 1.0 / rho
+    wr, wi = x[0::2], x[1::2]
+    inv_rho = 1.0 / (1.0 + (x * x).sum())
+    # Real and imaginary parts back onto the chart components.
+    pair = np.eye(model.real_dim)
+    to_re, to_im = pair[:, 0::2], pair[:, 1::2]
 
-    def wbar_dot(V):
-        re = im = 0.0
-        for a in range(N):
-            wr, wi = x[2 * a], x[2 * a + 1]
-            vr, vi = V[2 * a], V[2 * a + 1]
-            re = re + wr * vr + wi * vi
-            im = im + wr * vi - wi * vr
+    def wbar_dot(vr, vi):
+        re = einsum("a,a...->...", wr, vr) + einsum("a,a...->...", wi, vi)
+        im = einsum("a,a...->...", wr, vi) - einsum("a,a...->...", wi, vr)
         return re * inv_rho, im * inv_rho
 
-    def gamma(X, Y) -> list:
-        sx_re, sx_im = wbar_dot(X)
-        sy_re, sy_im = wbar_dot(Y)
-        out = []
-        for a in range(N):
-            xr, xi = X[2 * a], X[2 * a + 1]
-            yr, yi = Y[2 * a], Y[2 * a + 1]
-            out.append(-(xr * sy_re - xi * sy_im + yr * sx_re - yi * sx_im))
-            out.append(-(xr * sy_im + xi * sy_re + yr * sx_im + yi * sx_re))
-        return out
+    def gamma(X, Y):
+        X, Y = (V if isinstance(V, Jet) else np.asarray(V, float)
+                for V in (X, Y))
+        xr, xi, yr, yi = X[0::2], X[1::2], Y[0::2], Y[1::2]
+        sx_re, sx_im = wbar_dot(xr, xi)
+        sy_re, sy_im = wbar_dot(yr, yi)
+        re = -(xr * sy_re - xi * sy_im + yr * sx_re - yi * sx_im)
+        im = -(xr * sy_im + xi * sy_re + yr * sx_im + yi * sx_re)
+        return (einsum("Aa,a...->A...", to_re, re)
+                + einsum("Aa,a...->A...", to_im, im))
 
     return gamma
 
@@ -188,25 +170,35 @@ def connection_tensor(model: AmbientModel, x) -> np.ndarray:
     if gamma is None:
         return np.zeros((d, d, d))
     basis = np.eye(d)
-    return np.array(gamma(basis[:, :, None], basis[:, None, :]))
+    return gamma(basis[:, :, None], basis[:, None, :])
 
 
-def curvature_operator(c: float, g, J, X, Y, Z) -> np.ndarray:
+def curvature_operator(c: float, g, J, X, Y, Z):
     """Closed-form space-form curvature R(X, Y)Z; no differentiation.
 
-    Polymorphic over floats and jets: ``g`` is the metric matrix, ``J``
-    the constant complex-structure matrix, and the vectors are sequences
-    of matching scalars.  Returns the components as an array.
+    Polymorphic over floats and jets: ``g`` is the metric matrix (floats or
+    a jet), ``J`` the constant complex-structure matrix.  The vectors carry
+    their components on the last axis and broadcast against each other over
+    the leading axes, so one call covers a whole batch of (X, Y, Z).
+    Returns the components of R(X, Y)Z, on the last axis.
     """
-    X, Y, Z = np.asarray(X), np.asarray(Y), np.asarray(Z)
-    JX, JY, JZ = J @ X, J @ Y, J @ Z
-    Z_low = g @ Z
+    X, Y, Z = (v if isinstance(v, Jet) else np.asarray(v, float)
+               for v in (X, Y, Z))
+
+    def apply(M, V):  # M V over the components
+        return einsum("AB,...B->...A", M, V)
+
+    def dot(U, V):  # U . V over the components, kept as a length-1 axis
+        return einsum("...A,...A->...", U, V)[..., None]
+
+    JX, JY, JZ = apply(J, X), apply(J, Y), apply(J, Z)
+    Z_low = apply(g, Z)
     return (
-        (Y @ Z_low) * X
-        - (X @ Z_low) * Y
-        + (JY @ Z_low) * JX
-        - (JX @ Z_low) * JY
-        + (X @ (g @ JY)) * 2.0 * JZ
+        dot(Y, Z_low) * X
+        - dot(X, Z_low) * Y
+        + dot(JY, Z_low) * JX
+        - dot(JX, Z_low) * JY
+        + dot(X, apply(g, JY)) * 2.0 * JZ
     ) * (c / 4.0)
 
 
@@ -229,14 +221,10 @@ def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
     g = jet_values(metric(model, seed_point(x)))
     J = complex_structure(model)
     basis = np.eye(d)
-    R = np.empty((d, d, d, d))
-    for A in range(d):
-        for B in range(d):
-            for C in range(d):
-                R[:, C, A, B] = curvature_operator(
-                    model.c, g, J, basis[A], basis[B], basis[C]
-                )
-    return R
+    # R(e_A, e_B) e_C on axes [A, B, C, D], reordered to R^D_{CAB}.
+    R = curvature_operator(model.c, g, J, basis[:, None, None],
+                           basis[None, :, None], basis[None, None, :])
+    return R.transpose(3, 2, 0, 1)
 
 
 def holomorphic_sectional_curvature(model: AmbientModel, x, X) -> float:

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import identities, recurrence, submanifold
 
@@ -85,11 +84,47 @@ class RunConfig:
         self.resolved_cases()
 
 
+def _primes(count: int) -> list:
+    out = []
+    k = 2
+    while len(out) < count:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def scrambled_halton(dim: int, n_points: int, seed: int) -> np.ndarray:
+    """The first ``n_points`` of a scrambled Halton sequence in [0, 1)^dim.
+
+    Coordinate q of point k is the radical inverse of k in the q-th prime
+    base b, with digit j mapped through its own random permutation of
+    0..b-1 (Owen 2017, "A randomized Halton algorithm in R"); enough digits
+    are kept to fill a double.  The permutations are drawn base by base from
+    ``np.random.default_rng(seed)``, which gives bit for bit the points of
+    ``scipy.stats.qmc.Halton(dim, scramble=True, seed=seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    unit = np.empty((n_points, dim))
+    for q, base in enumerate(_primes(dim)):
+        n_digits = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], n_digits, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        x = np.zeros(n_points)
+        rest = np.arange(n_points)
+        weight = 1.0 / base
+        for perm in perms:
+            rest, digit = np.divmod(rest, base)
+            x += perm[digit] * weight
+            weight /= base
+        unit[:, q] = x
+    return unit
+
+
 def sample_points(case, n_points: int, seed: int, case_index: int) -> np.ndarray:
     """Low-discrepancy points inside the case domain, deterministic per seed."""
-    dim = 2 * case.m
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed + case_index)
-    unit = sampler.random(n_points)
+    unit = scrambled_halton(2 * case.m, n_points, seed + case_index)
     lo = np.array([b[0] for b in case.domain])
     hi = np.array([b[1] for b in case.domain])
     return lo + unit * (hi - lo)
@@ -131,6 +166,7 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
             tolerances=config.tolerances,
         )
         entry["checks"] = checks
+        entry["frame_residuals"] = dict(data.frame_residuals)
         for chk in checks:
             agg_residual[chk["id"]] = max(agg_residual[chk["id"]], chk["residual"])
             if not chk["passed"]:

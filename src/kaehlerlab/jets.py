@@ -1,16 +1,24 @@
 """Truncated Taylor (jet) arithmetic of order 3 in n real variables.
 
-A jet stores the Taylor coefficients of a scalar function at a point, for
-every multi-index of total degree <= 3, in graded lexicographic order.
+A jet stores the Taylor coefficients of a function at a point, for every
+multi-index of total degree <= 3, in graded lexicographic order.
 Arithmetic is exact truncated polynomial algebra: products of total degree
 above 3 are discarded.  All higher geometry in this package is built by
 evaluating chart expressions on jets, so that mixed partial derivatives up
 to third order come out of plain arithmetic.
+
+A ``Jet`` is array-valued: its coefficients ``c`` have shape
+``(*shape, K)``, one jet per entry of ``shape`` and the K coefficients on
+the last axis; a scalar jet is the case ``shape == ()``.  Arithmetic
+broadcasts over ``shape`` like numpy, and ``einsum`` contracts jets and
+float arrays, so a whole tensor of jets is built by a few numpy calls on
+coefficient arrays.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from functools import lru_cache
 
 import numpy as np
@@ -48,34 +56,40 @@ def index_position(n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _mul_table(n: int):
+    """Coefficient pairs (left, right) whose product survives truncation,
+    sorted by the coefficient they land on, and where each target's run of
+    pairs starts: the product is ``reduceat(a[left] * b[right], starts)``."""
     idx = multi_indices(n)
     pos = index_position(n)
-    left, right, dest = [], [], []
+    pairs = []
     for i, a in enumerate(idx):
-        da = sum(a)
         for j, b in enumerate(idx):
-            if da + sum(b) > MAX_DEGREE:
-                continue
-            left.append(i)
-            right.append(j)
-            dest.append(pos[tuple(x + y for x, y in zip(a, b))])
-    return np.array(left), np.array(right), np.array(dest)
+            if sum(a) + sum(b) <= MAX_DEGREE:
+                pairs.append((pos[tuple(x + y for x, y in zip(a, b))], i, j))
+    dest, left, right = np.array(sorted(pairs)).T
+    starts = np.flatnonzero(np.diff(dest, prepend=-1))
+    return left, right, starts
 
 
 @lru_cache(maxsize=None)
-def _diff_table(n: int, var: int):
+def _diff_table(n: int):
+    """Gather positions and factors of every partial derivative:
+    ``d_i c[k] = fac[i, k] * c[src[i, k]]``, where src = K points at an
+    appended zero coefficient (degree-3 terms have no source)."""
     idx = multi_indices(n)
     pos = index_position(n)
-    src, dst, fac = [], [], []
-    for i, a in enumerate(idx):
-        if a[var] == 0:
-            continue
-        lower = list(a)
-        lower[var] -= 1
-        src.append(i)
-        dst.append(pos[tuple(lower)])
-        fac.append(float(a[var]))
-    return np.array(src), np.array(dst), np.array(fac)
+    K = len(idx)
+    src = np.full((n, K), K)
+    fac = np.zeros((n, K))
+    for var in range(n):
+        for k, a in enumerate(idx):
+            if sum(a) == MAX_DEGREE:
+                continue
+            raised = list(a)
+            raised[var] += 1
+            src[var, k] = pos[tuple(raised)]
+            fac[var, k] = raised[var]
+    return src, fac
 
 
 @lru_cache(maxsize=None)
@@ -91,10 +105,35 @@ def _project_table(n_old: int, n_keep: int):
     return np.array(src), np.array(dst)
 
 
+def _partials(jet, rows) -> np.ndarray:
+    """Coefficients of the partials in the variables ``rows`` (an index or
+    a slice of ``_diff_table``), on the second-to-last axis for a slice."""
+    src, fac = _diff_table(jet.n)
+    padded = np.concatenate([jet.c, np.zeros(jet.shape + (1,))], axis=-1)
+    return padded[..., src[rows]] * fac[rows]
+
+
+def _lift(value, n: int) -> np.ndarray:
+    """Coefficients of constant jets with the given float value(s)."""
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (len(multi_indices(n)),))
+    c[..., 0] = value
+    return c
+
+
+def _is_float(x) -> bool:
+    return isinstance(x, (int, float, np.number)) or (
+        isinstance(x, np.ndarray) and x.dtype.kind in "biuf")
+
+
 class Jet:
-    """Order-3 Taylor polynomial in ``n`` real variables (dense storage)."""
+    """Order-3 Taylor polynomials in ``n`` real variables, one per entry of
+    ``shape``; coefficients ``c`` have shape ``(*shape, K)``."""
 
     __slots__ = ("n", "c")
+
+    # numpy defers to Jet's reflected operators instead of looping over it.
+    __array_ufunc__ = None
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
@@ -102,118 +141,167 @@ class Jet:
         if coeffs is None:
             self.c = np.zeros(size)
         else:
-            c = np.asarray(coeffs, dtype=float)
-            if c.shape != (size,):
+            c = np.array(coeffs, dtype=float)
+            if c.ndim == 0 or c.shape[-1] != size:
                 raise ValueError(
                     f"expected {size} coefficients for n={n}, got {c.shape}"
                 )
-            self.c = c.copy()
+            self.c = c
 
     @classmethod
-    def constant(cls, value: float, n: int) -> "Jet":
-        out = cls(n)
-        out.c[0] = float(value)
+    def _wrap(cls, n: int, c: np.ndarray) -> "Jet":
+        out = cls.__new__(cls)
+        out.n = n
+        out.c = c
         return out
 
+    @classmethod
+    def constant(cls, value, n: int) -> "Jet":
+        """Constant jets with the given float value (or array of values)."""
+        return cls._wrap(n, _lift(value, n))
+
     @property
-    def value(self) -> float:
-        """Degree-zero coefficient: the value of the function at the point."""
-        return float(self.c[0])
+    def shape(self) -> tuple:
+        return self.c.shape[:-1]
+
+    @property
+    def ndim(self) -> int:
+        return self.c.ndim - 1
+
+    def __len__(self):
+        if not self.shape:
+            raise TypeError("len() of a scalar jet")
+        return self.shape[0]
+
+    @property
+    def value(self):
+        """Degree-zero coefficients: the values of the functions at the point
+        (a float for a scalar jet)."""
+        v = self.c[..., 0]
+        return float(v) if v.ndim == 0 else v.copy()
 
     def copy(self) -> "Jet":
-        return Jet(self.n, self.c)
+        return Jet._wrap(self.n, self.c.copy())
+
+    # -- array structure ---------------------------------------------------
+
+    def __getitem__(self, key) -> "Jet":
+        if not isinstance(key, tuple):
+            key = (key,)
+        return Jet._wrap(self.n, self.c[key + (slice(None),)])
+
+    def __setitem__(self, key, value):
+        if not isinstance(key, tuple):
+            key = (key,)
+        self.c[key + (slice(None),)] = self._coeffs(value)
+
+    def __iter__(self):
+        for k in range(len(self)):
+            yield self[k]
+
+    def transpose(self, *axes) -> "Jet":
+        """Permute the leading axes (reverse them by default)."""
+        axes = axes or tuple(range(self.ndim))[::-1]
+        return Jet._wrap(self.n, self.c.transpose(*axes, self.ndim))
+
+    @property
+    def T(self) -> "Jet":
+        return self.transpose()
+
+    def reshape(self, *shape) -> "Jet":
+        return Jet._wrap(self.n, self.c.reshape(*shape, self.c.shape[-1]))
+
+    def sum(self) -> "Jet":
+        """Scalar jet: the sum of all entries."""
+        return Jet._wrap(self.n, self.c.reshape(-1, self.c.shape[-1]).sum(0))
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
+    def _coeffs(self, other):
+        """Coefficients of ``other`` in this ring, or None if foreign."""
         if isinstance(other, Jet):
             if other.n != self.n:
                 raise ValueError(
                     f"jet variable counts differ: {self.n} vs {other.n}"
                 )
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet.constant(float(other), self.n)
+            return other.c
+        if _is_float(other):
+            return _lift(other, self.n)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return Jet(self.n, self.c + o.c)
+        return Jet._wrap(self.n, self.c + o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.n, -self.c)
+        return Jet._wrap(self.n, -self.c)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return Jet(self.n, self.c - o.c)
+        return Jet._wrap(self.n, self.c - o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return Jet(self.n, o.c - self.c)
+        return Jet._wrap(self.n, o - self.c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.n, self.c * float(other))
-        o = self._coerce(other)
+        if _is_float(other):
+            return Jet._wrap(self.n, self.c * np.asarray(other, float)[..., None])
+        o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        left, right, dest = _mul_table(self.n)
-        return Jet(
-            self.n,
-            np.bincount(dest, weights=self.c[left] * o.c[right],
-                        minlength=len(self.c)),
-        )
+        left, right, starts = _mul_table(self.n)
+        return Jet._wrap(self.n, np.add.reduceat(
+            self.c[..., left] * o[..., right], starts, axis=-1))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
-        a0 = self.c[0]
-        if abs(a0) < DIVISION_FLOOR:
+        a0 = self.c[..., :1]
+        if np.any(np.abs(a0) < DIVISION_FLOOR):
             raise ZeroDivisionError(
-                f"jet reciprocal: constant term {a0!r} below floor "
-                f"{DIVISION_FLOOR}"
+                f"jet reciprocal: constant term below floor {DIVISION_FLOOR}"
+                f" (smallest {np.abs(a0).min()!r})"
             )
         # 1/(a0 (1 + e)) with e nilpotent: geometric series through degree 3.
-        e = Jet(self.n, self.c / a0)
-        e.c[0] = 0.0
+        e = Jet._wrap(self.n, self.c / a0)
+        e.c[..., 0] = 0.0
         e2 = e * e
-        one = Jet.constant(1.0, self.n)
-        return (one - e + e2 - e2 * e) * (1.0 / a0)
+        return (1.0 - e + e2 - e2 * e) * (1.0 / a0[..., 0])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.n, self.c / float(other))
-        o = self._coerce(other)
+        if _is_float(other):
+            return Jet._wrap(self.n, self.c / np.asarray(other, float)[..., None])
+        o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return self * o.reciprocal()
+        return self * Jet._wrap(self.n, o).reciprocal()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not _is_float(other):
             return NotImplemented
-        return o * self.reciprocal()
+        return self.reciprocal() * other
 
     def sqrt(self) -> "Jet":
-        a0 = self.c[0]
-        if a0 <= DIVISION_FLOOR:
+        a0 = self.c[..., :1]
+        if np.any(a0 <= DIVISION_FLOOR):
             raise ValueError(
-                f"jet sqrt requires a positive constant term, got {a0!r}"
+                f"jet sqrt requires a positive constant term, got "
+                f"{a0.min()!r}"
             )
-        e = Jet(self.n, self.c / a0)
-        e.c[0] = 0.0
+        e = Jet._wrap(self.n, self.c / a0)
+        e.c[..., 0] = 0.0
         e2 = e * e
-        one = Jet.constant(1.0, self.n)
-        series = one + e * 0.5 - e2 * 0.125 + e2 * e * 0.0625
-        return series * math.sqrt(a0)
+        series = 1.0 + e * 0.5 - e2 * 0.125 + e2 * e * 0.0625
+        return series * np.sqrt(a0[..., 0])
 
     # -- calculus ----------------------------------------------------------
 
@@ -225,10 +313,7 @@ class Jet:
         """
         if not 0 <= var < self.n:
             raise IndexError(f"variable {var} out of range for n={self.n}")
-        src, dst, fac = _diff_table(self.n, var)
-        out = Jet(self.n)
-        np.add.at(out.c, dst, self.c[src] * fac)
-        return out
+        return Jet._wrap(self.n, _partials(self, var))
 
     # -- comparisons -------------------------------------------------------
 
@@ -236,12 +321,15 @@ class Jet:
         return (
             isinstance(other, Jet)
             and self.n == other.n
+            and self.c.shape == other.c.shape
             and np.array_equal(self.c, other.c)
         )
 
     __hash__ = None
 
     def __repr__(self):
+        if self.shape:
+            return f"Jet(n={self.n}, shape={self.shape})"
         terms = [
             f"{coeff:g}*u^{alpha}"
             for alpha, coeff in zip(multi_indices(self.n), self.c)
@@ -251,21 +339,93 @@ class Jet:
         return f"Jet(n={self.n}: {body})"
 
 
+def stack(jets, axis: int = 0) -> Jet:
+    """Join jets of one shape along a new leading axis, like ``np.stack``."""
+    jets = list(jets)
+    n = jets[0].n
+    if any(j.n != n for j in jets):
+        raise ValueError("jet variable counts differ")
+    ndim = jets[0].ndim + 1
+    if not -ndim <= axis < ndim:
+        raise np.exceptions.AxisError(axis, ndim)
+    return Jet._wrap(n, np.stack([j.c for j in jets], axis=axis % ndim))
+
+
+def einsum(spec: str, *operands):
+    """``np.einsum`` over jets and float arrays, with an explicit ``->``.
+
+    Operands are folded left to right, keeping at each step the indices a
+    later operand or the output still needs; ``...`` broadcasts as in numpy.
+    A float operand contracts with the coefficients directly; two jet
+    operands gather the coefficient pairs of the product table, contract
+    over the indices in one ``np.einsum`` with the pairs as a batch axis,
+    and sum the pairs into coefficients.
+    """
+    ins, out = spec.replace(" ", "").replace("...", "*").split("->")
+    subs = ins.split(",")
+    if len(subs) != len(operands):
+        raise ValueError(f"{spec!r} needs {len(subs)} operands, "
+                         f"got {len(operands)}")
+    # Free letters for the coefficient and the product-pair axes.
+    k, p = [ch for ch in string.ascii_letters if ch not in spec][:2]
+    acc, acc_sub = operands[0], subs[0]
+    if len(operands) == 1:
+        return _contract(acc, acc_sub, None, None, out, k, p)
+    for pos in range(1, len(operands)):
+        if pos == len(operands) - 1:
+            keep = out
+        else:
+            later = "".join(subs[pos + 1:]) + out
+            keep = "".join(dict.fromkeys(
+                ch for ch in acc_sub + subs[pos] if ch in later))
+        acc = _contract(acc, acc_sub, operands[pos], subs[pos], keep, k, p)
+        acc_sub = keep
+    return acc
+
+
+def _contract(a, sa: str, b, sb, so: str, k: str, p: str):
+    """One step of ``einsum``: ``sa,sb->so``, or ``sa->so`` when ``b`` is
+    None; ``k`` and ``p`` name the coefficient and product-pair axes."""
+
+    def np_einsum(spec, *ops):
+        return np.einsum(spec.replace("*", "..."), *ops)
+
+    if b is None:
+        if isinstance(a, Jet):
+            return Jet._wrap(a.n, np_einsum(f"{sa}{k}->{so}{k}", a.c))
+        return np_einsum(f"{sa}->{so}", a)
+    a_jet, b_jet = isinstance(a, Jet), isinstance(b, Jet)
+    if a_jet and b_jet:
+        if a.n != b.n:
+            raise ValueError(f"jet variable counts differ: {a.n} vs {b.n}")
+        left, right, starts = _mul_table(a.n)
+        pairs = np_einsum(f"{sa}{p},{sb}{p}->{so}{p}",
+                          a.c[..., left], b.c[..., right])
+        return Jet._wrap(a.n, np.add.reduceat(pairs, starts, axis=-1))
+    if a_jet:
+        return Jet._wrap(a.n, np_einsum(f"{sa}{k},{sb}->{so}{k}", a.c, b))
+    if b_jet:
+        return Jet._wrap(b.n, np_einsum(f"{sa},{sb}{k}->{so}{k}", a, b.c))
+    return np_einsum(f"{sa},{sb}->{so}", a, b)
+
+
 def seed_variable(i: int, value: float, n: int) -> Jet:
     """Jet of the i-th coordinate function at the given value."""
     if not 0 <= i < n:
         raise IndexError(f"variable index {i} out of range for n={n}")
     out = Jet.constant(float(value), n)
-    e_i = tuple(1 if k == i else 0 for k in range(n))
-    out.c[index_position(n)[e_i]] = 1.0
+    out.c[1 + i] = 1.0  # graded-lex order stores u^i at position 1 + i
     return out
 
 
-def seed_point(x) -> list:
-    """Seed every component of a point as its own jet variable."""
+def seed_point(x) -> Jet:
+    """Seed every component of a point as its own jet variable: a jet of
+    shape ``(n,)`` whose entry i is the i-th coordinate function."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    return [seed_variable(i, x[i], n) for i in range(n)]
+    out = Jet.constant(x, n)
+    out.c[:, 1:n + 1] += np.eye(n)
+    return out
 
 
 def extract(jet: Jet, alpha) -> float:
@@ -288,8 +448,8 @@ def project_head(jet: Jet, n_keep: int) -> Jet:
     if n_keep > jet.n:
         raise ValueError("cannot keep more variables than the jet has")
     src, dst = _project_table(jet.n, n_keep)
-    out = Jet(n_keep)
-    out.c[dst] = jet.c[src]
+    out = Jet.constant(np.zeros(jet.shape), n_keep)
+    out.c[..., dst] = jet.c[..., src]
     return out
 
 
@@ -327,7 +487,8 @@ class ComplexJet:
 
     Chart maps in this package are rational holomorphic expressions; writing
     them against this class (or against plain Python complex, which supports
-    the same operators) keeps one definition per chart.
+    the same operators) keeps one definition per chart.  The parts may be
+    jet arrays, which broadcast like any jet.
     """
 
     __slots__ = ("re", "im")
@@ -336,24 +497,21 @@ class ComplexJet:
         self.re = re
         self.im = im
 
-    def _coerce(self, other):
+    @staticmethod
+    def _parts(other):
+        """Real and imaginary parts (jets or floats), or None if foreign."""
         if isinstance(other, ComplexJet):
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            n = self.re.n
-            return ComplexJet(Jet.constant(float(other), n), Jet(n))
-        if isinstance(other, complex):
-            n = self.re.n
-            return ComplexJet(
-                Jet.constant(other.real, n), Jet.constant(other.imag, n)
-            )
+            return other.re, other.im
+        if isinstance(other, (int, float, complex, np.number)):
+            other = complex(other)
+            return other.real, other.imag
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return ComplexJet(self.re + o.re, self.im + o.im)
+        return ComplexJet(self.re + o[0], self.im + o[1])
 
     __radd__ = __add__
 
@@ -361,10 +519,10 @@ class ComplexJet:
         return ComplexJet(-self.re, -self.im)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return ComplexJet(self.re - o.re, self.im - o.im)
+        return ComplexJet(self.re - o[0], self.im - o[1])
 
     def __rsub__(self, other):
         return (-self) + other
@@ -372,12 +530,13 @@ class ComplexJet:
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
             return ComplexJet(self.re * float(other), self.im * float(other))
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
+        o_re, o_im = o
         return ComplexJet(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
+            self.re * o_re - self.im * o_im,
+            self.re * o_im + self.im * o_re,
         )
 
     __rmul__ = __mul__
@@ -389,80 +548,57 @@ class ComplexJet:
         return self.re * self.re + self.im * self.im
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        inv = o.abs2().reciprocal()
-        num = self * o.conj()
-        return ComplexJet(num.re * inv, num.im * inv)
+        o_re, o_im = o
+        # self * conj(o) / |o|^2
+        inv = 1.0 / (o_re * o_re + o_im * o_im)
+        return ComplexJet(
+            (self.re * o_re + self.im * o_im) * inv,
+            (self.im * o_re - self.re * o_im) * inv,
+        )
 
 
-def jet_matrix_inverse(mat):
-    """Inverse of a square matrix of jets via Gauss-Jordan elimination.
+def jet_matrix_inverse(mat: Jet) -> Jet:
+    """Inverse of a square matrix of jets by the truncated Neumann series.
 
-    Pivots on the largest constant term; the matrices inverted here are
-    metric tensors, positive definite at every healthy sample point.
+    With G0 the value matrix and E = G - G0 its nilpotent part (no constant
+    term, so E^4 = 0 in order-3 arithmetic), the inverse is exactly
+    (G0 + E)^-1 = sum_{k<=3} (-G0^-1 E)^k G0^-1.  Raises
+    ``ZeroDivisionError`` when G0 is singular.
     """
-    mat = np.asarray(mat, dtype=object)
-    d = mat.shape[0]
+    d = mat.shape[0] if mat.ndim else 0
     if mat.shape != (d, d):
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    n = mat[0, 0].n
-    work = mat.copy()
-    inv = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            inv[i, j] = Jet.constant(1.0 if i == j else 0.0, n)
-    for col in range(d):
-        pivot_row = max(range(col, d), key=lambda r: abs(work[r, col].value))
-        if abs(work[pivot_row, col].value) < DIVISION_FLOOR:
-            raise ZeroDivisionError("jet matrix is singular at this point")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-            inv[[col, pivot_row]] = inv[[pivot_row, col]]
-        scale = work[col, col].reciprocal()
-        for j in range(d):
-            work[col, j] = work[col, j] * scale
-            inv[col, j] = inv[col, j] * scale
-        for r in range(d):
-            if r == col:
-                continue
-            factor = work[r, col]
-            if not np.any(factor.c):
-                continue
-            for j in range(d):
-                work[r, j] = work[r, j] - factor * work[col, j]
-                inv[r, j] = inv[r, j] - factor * inv[col, j]
-    return inv
+    g0 = jet_values(mat)
+    if not np.linalg.svd(g0, compute_uv=False).min() >= DIVISION_FLOOR:
+        raise ZeroDivisionError("jet matrix is singular at this point")
+    inv0 = np.linalg.inv(g0)
+    step = einsum("ij,jk->ik", -inv0, mat - g0)  # -G0^-1 E
+    eye = np.eye(d)
+    series = step + eye
+    for _ in range(MAX_DEGREE - 1):
+        series = einsum("ij,jk->ik", step, series) + eye
+    return einsum("ij,jk->ik", series, inv0)
 
 
-def _coefficient_stack(arr) -> np.ndarray:
-    """Coefficients of a (nested) array of jets, on a new last axis."""
-    arr = np.asarray(arr, dtype=object)
-    return np.array([jet.c for jet in arr.flat]).reshape(*arr.shape, -1)
+def jet_values(arr: Jet) -> np.ndarray:
+    """Degree-zero coefficients of a jet array."""
+    return arr.c[..., 0].copy()
 
 
-def jet_values(arr) -> np.ndarray:
-    """Degree-zero coefficients of an array of jets."""
-    return _coefficient_stack(arr)[..., 0]
-
-
-def jet_gradient(arr) -> np.ndarray:
-    """First partials of an array of jets, indexed ``[i, *arr.shape]``.
+def jet_gradient(arr: Jet) -> np.ndarray:
+    """First partials of a jet array, indexed ``[i, *arr.shape]``.
 
     The partial in variable i is the coefficient of u^i, which graded-lex
     order stores at position 1 + i.
     """
-    arr = np.asarray(arr, dtype=object)
-    n = arr.flat[0].n
-    return np.moveaxis(_coefficient_stack(arr)[..., 1:n + 1], -1, 0)
+    return np.moveaxis(arr.c[..., 1:arr.n + 1], -1, 0).copy()
 
 
-def jet_partials(arr) -> np.ndarray:
-    """Partial derivatives of an array of jets, as jets, indexed
-    ``[i, *arr.shape]``: the jet counterpart of ``jet_gradient``."""
-    arr = np.asarray(arr, dtype=object)
-    return np.stack([
-        np.frompyfunc(lambda jet: jet.derivative(i), 1, 1)(arr)
-        for i in range(arr.flat[0].n)
-    ])
+def jet_partials(arr: Jet) -> Jet:
+    """Partial derivatives of a jet array, as jets, indexed
+    ``[i, *arr.shape]``: the jet counterpart of ``jet_gradient``, and one
+    gather over the coefficients."""
+    return Jet._wrap(arr.n, np.moveaxis(_partials(arr, slice(None)), -2, 0))

@@ -10,8 +10,8 @@ curvature and of the intrinsic curvature.
 Derivative bookkeeping is the delicate part.  All quantities are assembled
 in jet arithmetic over the immersion parameters alone: the ambient metric
 and the closed-form ambient connection are evaluated directly on the jets
-of F(u), so no ambient chart derivative is taken.  Jet tensors are numpy
-object arrays of scalar jets, contracted with ``@`` and ``np.einsum``.
+of F(u), so no ambient chart derivative is taken.  Each jet tensor is one
+array-valued ``Jet``, built by broadcasting arithmetic and ``jets.einsum``.
 Quantities whose derivative we take downstream are kept as jets; everything
 else is read off their coefficients (``jet_values``, ``jet_gradient``) and
 assembled with float array algebra, every covariant derivative through
@@ -34,11 +34,13 @@ from . import ambient as amb
 from .jets import (
     ComplexJet,
     Jet,
+    einsum,
     jet_gradient,
     jet_matrix_inverse,
     jet_partials,
     jet_values,
-    seed_variable,
+    seed_point,
+    stack,
 )
 
 TOTALLY_GEODESIC = "totally_geodesic"
@@ -100,20 +102,17 @@ class ImmersionCase:
     def l(self) -> int:
         return self.ambient.complex_dim - self.m
 
-    def map_jets(self, u) -> np.ndarray:
-        """Real chart coordinates of F(u) as jets in the parameter ring."""
+    def map_jets(self, u) -> Jet:
+        """Real chart coordinates of F(u) as a jet of shape ``(d,)`` in the
+        parameter ring."""
         nu = 2 * self.m
         u = np.asarray(u, dtype=float)
         if u.shape != (nu,):
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
-        seeds = [seed_variable(i, u[i], nu) for i in range(nu)]
+        seeds = seed_point(u)
         z = [ComplexJet(seeds[2 * a], seeds[2 * a + 1]) for a in range(self.m)]
-        w = self.chart(z)
-        out = []
-        for comp in w:
-            out.append(comp.re)
-            out.append(comp.im)
-        return np.array(out, dtype=object)
+        return stack([part for comp in self.chart(z)
+                      for part in (comp.re, comp.im)])
 
     def map_values(self, u) -> np.ndarray:
         """F(u) as floats; the chart runs unchanged on Python complex."""
@@ -288,14 +287,14 @@ class PointGeometry:
         self.gamma_amb = amb.connection_tensor(self.case.ambient,
                                                jet_values(self.F))
 
-    def _ambient_derivative(self, V) -> np.ndarray:
+    def _ambient_derivative(self, V: Jet) -> Jet:
         """Ambient covariant derivative of the jet vectors ``V[b, A]``
         (chart components) along each d/du^i, indexed ``[i, b, A]``."""
         out = jet_partials(V)
         if self.connection_amb is not None:
             # Components lead, so one call covers every (d/du^i, V_b) pair.
             gam = self.connection_amb(self.T_jet.T[:, :, None], V.T[:, None, :])
-            out = out + np.stack(gam, axis=-1)
+            out = out + gam.transpose(1, 2, 0)
         return out
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
@@ -307,19 +306,19 @@ class PointGeometry:
             raise DegeneratePointError(
                 f"{self.case.name}: differential rank-deficient at u={self.u}"
             )
-        self.T_low = self.T_jet @ self.g_amb_jet
-        g = self.T_low @ self.T_jet.T
+        self.T_low = einsum("iA,AB->iB", self.T_jet, self.g_amb_jet)
+        g = einsum("iA,jA->ij", self.T_low, self.T_jet)
         # Exactly symmetric, so the Christoffel symbols are too.
         self.g_jet = (g + g.T) * 0.5
         self.g_inv_jet = jet_matrix_inverse(self.g_jet)
         dg = jet_partials(self.g_jet)  # [i, j, k] = d_i g_jk
-        low = dg + np.einsum("jik->ijk", dg) - np.einsum("kij->ijk", dg)
-        self.gamma_jet = np.einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)
+        low = dg + einsum("jik->ijk", dg) - einsum("kij->ijk", dg)
+        self.gamma_jet = einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)
 
     # -- adapted normal frame ------------------------------------------------
 
     def _build_normal_frame(self, normal_seed_mix):
-        nu, d = self.nu, self.d
+        d = self.d
         p = 2 * self.l
         G = self.g_amb_jet
         if normal_seed_mix is None:
@@ -332,25 +331,25 @@ class PointGeometry:
         for row in candidates:
             if len(normals) == p:
                 break
-            v = np.array([Jet.constant(x, nu) for x in row], dtype=object)
             # Remove the tangential part (coordinate frame, so through g^ij).
-            v = v - (self.g_inv_jet @ (self.T_low @ v)) @ self.T_jet
+            coef = einsum("jA,A,ij->i", self.T_low, row, self.g_inv_jet)
+            v = row - einsum("i,iA->A", coef, self.T_jet)
             for n in normals:
-                v = v - ((n @ G) @ v) * n
-            norm2 = (v @ G) @ v
+                v = v - einsum("A,AB,B->", n, G, v) * n
+            norm2 = einsum("A,AB,B->", v, G, v)
             if norm2.value < FRAME_NORM_FLOOR ** 2:
                 continue
             n0 = v * norm2.sqrt().reciprocal()
             normals.append(n0)
             if len(normals) < p:
-                normals.append(self.J_amb @ n0)
+                normals.append(einsum("AB,B->A", self.J_amb, n0))
         if len(normals) != p:
             raise FrameConstructionError(
                 f"{self.case.name}: only {len(normals)} of {p} normal "
                 f"directions found at u={self.u}"
             )
-        self.N_jet = np.array(normals)
-        self.N_low = self.N_jet @ G
+        self.N_jet = stack(normals)
+        self.N_low = einsum("aA,AB->aB", self.N_jet, G)
         T, N = jet_values(self.T_jet), jet_values(self.N_jet)
         g_amb = jet_values(G)
         self.frame_residuals = {
@@ -362,8 +361,8 @@ class PointGeometry:
     # -- complex structure in the adapted frames -----------------------------
 
     def _build_j_frames(self):
-        JT = self.J_amb @ self.T_jet.T  # column j is J d/du^j
-        self.J_tan_jet = self.g_inv_jet @ (self.T_low @ JT)
+        JT = einsum("AB,jB->Aj", self.J_amb, self.T_jet)  # column j: J d/du^j
+        self.J_tan_jet = einsum("jA,Ak,ij->ik", self.T_low, JT, self.g_inv_jet)
         # J-invariance of the tangent space: JT_j must lie in the span.
         worst = float(np.abs(
             jet_values(JT)
@@ -375,23 +374,24 @@ class PointGeometry:
                 f"{self.case.name}: tangent space not J-invariant at "
                 f"u={self.u} (residual {worst:.3e})"
             )
-        self.J_nor_jet = self.N_low @ (self.J_amb @ self.N_jet.T)
+        self.J_nor_jet = einsum("AB,bB,aA->ab", self.J_amb, self.N_jet,
+                                self.N_low)
 
     # -- second fundamental form and shape operators --------------------------
 
     def _build_second_fundamental_form(self):
         self.b_vec_jet = (
             self._ambient_derivative(self.T_jet)
-            - np.einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
+            - einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
         )
-        self.b_jet = np.einsum("ijA,aA->aij", self.b_vec_jet, self.N_low)
+        self.b_jet = einsum("ijA,aA->aij", self.b_vec_jet, self.N_low)
         # A[a, k, j] = b[a, j, t] g^tk
-        self.A_jet = (self.b_jet @ self.g_inv_jet).transpose(0, 2, 1)
+        self.A_jet = einsum("ajt,tk->akj", self.b_jet, self.g_inv_jet)
 
     # -- normal connection ----------------------------------------------------
 
     def _build_normal_connection(self):
-        self.gamma_perp_jet = np.einsum(
+        self.gamma_perp_jet = einsum(
             "aA,ibA->abi", self.N_low, self._ambient_derivative(self.N_jet)
         )
         gp = jet_values(self.gamma_perp_jet)
@@ -428,22 +428,20 @@ class PointGeometry:
 
     # -- ambient curvature ------------------------------------------------------
 
-    def _ambient_curvature(self, Z, W_low) -> np.ndarray:
+    def _ambient_curvature(self, Z: Jet, W_low: Jet) -> Jet:
         """Closed-form <R(d/du^i, d/du^j) Z_a, W_b> as jets, indexed
         ``[i, j, a, b]``, from chart-component vectors ``Z`` and lowered
-        ``W_low``.  R is antisymmetric in (i, j), so the operator runs for
-        i < j only."""
+        ``W_low``.  R is antisymmetric in (i, j), so one operator call covers
+        the pairs i < j, broadcast against every Z_a."""
         nu = self.nu
-        out = np.full((nu, nu, len(Z), len(W_low)), Jet(nu), dtype=object)
-        for i in range(nu):
-            for j in range(i + 1, nu):
-                RZ = np.array([
-                    amb.curvature_operator(self.c, self.g_amb_jet, self.J_amb,
-                                           self.T_jet[i], self.T_jet[j], z)
-                    for z in Z
-                ])
-                out[i, j] = RZ @ W_low.T
-                out[j, i] = -out[i, j]
+        upper, lower = np.triu_indices(nu, 1)
+        RZ = amb.curvature_operator(
+            self.c, self.g_amb_jet, self.J_amb, self.T_jet[upper][:, None],
+            self.T_jet[lower][:, None], Z[None])
+        half = einsum("paA,bA->pab", RZ, W_low)
+        out = Jet.constant(np.zeros((nu, nu, len(Z), len(W_low))), nu)
+        out[upper, lower] = half
+        out[lower, upper] = -half
         return out
 
     # -- normal curvature -------------------------------------------------------
@@ -455,9 +453,9 @@ class PointGeometry:
         # Route 1: ambient curvature plus shape-operator commutator,
         # g([A_a, A_b] d_i, d_j), kept as jets so the covariant derivative of
         # the normal curvature can be differentiated from it.
-        AA = self.A_jet[:, None] @ self.A_jet[None, :]  # [a, b] = A_a A_b
-        rp1 = np.einsum("abki,kj->ijab", AA - AA.transpose(1, 0, 2, 3),
-                        self.g_jet)
+        AA = einsum("akt,btj->abkj", self.A_jet, self.A_jet)  # [a, b] = A_a A_b
+        rp1 = einsum("abki,kj->ijab", AA - AA.transpose(1, 0, 2, 3),
+                     self.g_jet)
         if self.c != 0.0:
             rp1 = rp1 + self._ambient_curvature(self.N_jet, self.N_low)
         rp1_val = jet_values(rp1)
@@ -489,9 +487,9 @@ class PointGeometry:
         # Route 2: ambient curvature minus products of the vector-valued
         # second fundamental form, kept as jets for the derivative below.
         # bb[i, j, k, l] = <b(d_i, d_k), b(d_j, d_l)>
-        bb = np.einsum("ikA,jlA->ijkl", self.b_vec_jet @ self.g_amb_jet,
-                       self.b_vec_jet)
-        r2 = bb.swapaxes(2, 3) - bb
+        bb = einsum("ikB,BA,jlA->ijkl", self.b_vec_jet, self.g_amb_jet,
+                    self.b_vec_jet)
+        r2 = bb.transpose(0, 1, 3, 2) - bb
         if self.c != 0.0:
             r2 = r2 + self._ambient_curvature(self.T_jet, self.T_low)
         r2_val = jet_values(r2)

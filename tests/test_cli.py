@@ -1,7 +1,13 @@
 """CLI plumbing: catalog listing, exit codes, reports, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kaehlerlab import cli
@@ -104,7 +110,7 @@ class TestRun:
         case = report["cases"][0]
         assert case["ambient"] == {"kind": "flat", "c": 0.0, "m": 1, "l": 1}
         point = case["points"][0]
-        assert set(point) == {"u", "checks", "recurrence"}
+        assert set(point) == {"u", "checks", "recurrence", "frame_residuals"}
         for chk in point["checks"]:
             assert set(chk) == {"id", "residual", "tolerance", "passed"}
         agg = case["aggregates"]
@@ -181,6 +187,28 @@ class TestRun:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_frame_residuals_reported(self, tmp_path):
+        # Every evaluated point reports the four frame-health residuals, and
+        # they keep the report byte-identical across runs.
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code = run_cli([
+                "run", "--case", "graph_c3", "--case", "veronese_cp2",
+                "--points", "3", "--out", str(path),
+            ])
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        report = json.loads(paths[0].read_text())
+        for case in report["cases"]:
+            for point in case["points"]:
+                residuals = point["frame_residuals"]
+                assert set(residuals) == {
+                    "normal_orthonormality", "normal_tangency",
+                    "tangent_j_invariance", "gamma_perp_antisymmetry",
+                }
+                assert all(math.isfinite(v) and v >= 0.0
+                           for v in residuals.values())
+
     def test_classification_recorded(self, capsys):
         assert run_cli(
             ["run", "--case", "veronese_cp2", "--points", "3"]
@@ -190,3 +218,22 @@ class TestRun:
             recurrence = point["recurrence"]
             assert recurrence["classification"] == "Parallel"
             assert recurrence["theorems"]["passed"] is True
+
+
+class TestSampler:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_scipy_halton(self, dim):
+        # The numpy sampler reproduces scipy's scrambled Halton points bit for
+        # bit, so reports keep their sampled points without scipy installed.
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for seed in list(range(50)) + [42, 2 ** 32 + 7]:
+            for n in (1, 25):
+                want = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+                assert np.array_equal(cli.scrambled_halton(dim, n, seed), want)
+
+    def test_cli_does_not_import_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, kaehlerlab.cli; "
+                "assert 'scipy' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kaehlerlab.jets import (
     ComplexJet,
     Jet,
+    einsum,
     extract,
     fd_oracle,
     index_position,
@@ -21,6 +23,7 @@ from kaehlerlab.jets import (
     project_head,
     seed_point,
     seed_variable,
+    stack,
 )
 
 
@@ -176,9 +179,8 @@ class TestCalculus:
     def test_gradient_of_array(self, n):
         rng = np.random.default_rng(n)
         size = len(multi_indices(n))
-        arr = np.empty((2, 3), dtype=object)
-        for idx in np.ndindex(arr.shape):
-            arr[idx] = Jet(n, rng.normal(size=size))
+        # The same draws, in the same order, as one jet per entry.
+        arr = Jet(n, rng.normal(size=(2, 3, size)))
         grad = jet_gradient(arr)
         assert grad.shape == (n, 2, 3)
         for i in range(n):
@@ -262,9 +264,7 @@ class TestMatrixInverse:
         x = seed_variable(0, 0.2, 2)
         y = seed_variable(1, 0.1, 2)
         one = Jet.constant(1.0, 2)
-        mat = np.array(
-            [[2.0 + x * x, x * y], [x * y, one + y * y]], dtype=object
-        )
+        mat = stack([stack([2.0 + x * x, x * y]), stack([x * y, one + y * y])])
         inv = jet_matrix_inverse(mat)
         for i in range(2):
             for j in range(2):
@@ -275,4 +275,207 @@ class TestMatrixInverse:
     def test_singular_matrix(self):
         zero = Jet(1)
         with pytest.raises(ZeroDivisionError):
-            jet_matrix_inverse(np.array([[zero]], dtype=object))
+            jet_matrix_inverse(stack([stack([zero])]))
+
+
+# -- independent oracle: truncated polynomials as dicts of exponent tuples --
+
+
+def _poly(c, n):
+    """Polynomial {exponent tuple: coefficient} of one jet's coefficients."""
+    return {a: float(x) for a, x in zip(multi_indices(n), c) if x != 0.0}
+
+
+def _poly_mul(p, q):
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            s = tuple(i + j for i, j in zip(a, b))
+            if sum(s) <= 3:
+                out[s] = out.get(s, 0.0) + x * y
+    return out
+
+
+def _poly_add(p, q):
+    out = dict(p)
+    for a, y in q.items():
+        out[a] = out.get(a, 0.0) + y
+    return out
+
+
+def _coeffs(p, n):
+    return np.array([p.get(a, 0.0) for a in multi_indices(n)])
+
+
+def _poly_reciprocal(p, n):
+    """1/p = (1/p0) sum_k (-e)^k with e = p/p0 - 1, through degree 3."""
+    zero = (0,) * n
+    p0 = p[zero]
+    e = {a: -x / p0 for a, x in p.items() if a != zero}  # -e
+    out, term = {zero: 1.0}, {zero: 1.0}
+    for _ in range(3):
+        term = _poly_mul(term, e)
+        out = _poly_add(out, term)
+    return {a: x / p0 for a, x in out.items()}
+
+
+def _poly_derivative(p, i):
+    out = {}
+    for a, x in p.items():
+        if a[i]:
+            lower = list(a)
+            lower[i] -= 1
+            out[tuple(lower)] = a[i] * x
+    return out
+
+
+def _entry(op, idx, n):
+    """Polynomial of one entry of a Jet or float operand."""
+    if isinstance(op, Jet):
+        return _poly(op.c[idx], n)
+    return {(0,) * n: float(op[idx])}
+
+
+def _jets(draw, n, shape, lo=-4, hi=4):
+    size = len(multi_indices(n))
+    coeffs = draw(st.lists(st.integers(lo, hi), min_size=size * math.prod(shape),
+                           max_size=size * math.prod(shape)))
+    return Jet(n, np.array(coeffs, dtype=float).reshape(*shape, size))
+
+
+@st.composite
+def _broadcast_pair(draw):
+    n = draw(st.sampled_from([2, 4]))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                    max_side=3))
+    a, b = (_jets(draw, n, s) for s in shapes.input_shapes)
+    return n, a, b, shapes.result_shape
+
+
+def _broadcast_index(idx, shape):
+    idx = idx[len(idx) - len(shape):] if shape else ()
+    return tuple(0 if s == 1 else i for i, s in zip(idx, shape))
+
+
+class TestOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(_broadcast_pair())
+    def test_broadcast_product(self, case):
+        n, a, b, shape = case
+        got = a * b
+        assert got.shape == shape
+        for idx in np.ndindex(shape):
+            want = _poly_mul(_poly(a.c[_broadcast_index(idx, a.shape)], n),
+                             _poly(b.c[_broadcast_index(idx, b.shape)], n))
+            assert np.array_equal(got.c[idx], _coeffs(want, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_broadcast_pair())
+    def test_broadcast_quotient(self, case):
+        n, a, b, shape = case
+        b = b + Jet.constant(np.where(b.value >= 0, 6.0, -6.0), n)
+        got = a / b
+        assert got.shape == shape
+        for idx in np.ndindex(shape):
+            want = _poly_mul(
+                _poly(a.c[_broadcast_index(idx, a.shape)], n),
+                _poly_reciprocal(_poly(b.c[_broadcast_index(idx, b.shape)], n),
+                                 n))
+            assert np.allclose(got.c[idx], _coeffs(want, n), rtol=1e-12,
+                               atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4]).flatmap(
+        lambda n: st.tuples(st.just(n), hnp.array_shapes(min_dims=0, max_dims=2,
+                                                         max_side=3))),
+        st.data())
+    def test_reciprocal_sqrt_derivative(self, n_shape, data):
+        n, shape = n_shape
+        a = _jets(data.draw, n, shape)
+        a = a + Jet.constant(np.abs(a.value) + 5.0, n)  # value in [5, 13]
+        inv, root = a.reciprocal(), a.sqrt()
+        partials = jet_partials(a)
+        assert partials.shape == (n,) + shape
+        for idx in np.ndindex(shape):
+            p = _poly(a.c[idx], n)
+            assert np.allclose(inv.c[idx], _coeffs(_poly_reciprocal(p, n), n),
+                               rtol=1e-12, atol=1e-13)
+            # The square root with a positive value is the unique one.
+            square = _poly_mul(_poly(root.c[idx], n), _poly(root.c[idx], n))
+            assert root.c[idx][0] > 0
+            assert np.allclose(_coeffs(square, n), a.c[idx], atol=1e-12)
+            for i in range(n):
+                want = _coeffs(_poly_derivative(p, i), n)
+                assert np.array_equal(a[idx].derivative(i).c, want)
+                assert np.array_equal(partials.c[(i,) + idx], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["ij,jk->ik", "ijk,kj->ji", "ij,jk,kl->li",
+                            "i,ij,j->", "ij,ik,il->jkl"]),
+           st.sampled_from([2, 4]), st.data())
+    def test_einsum(self, spec, n, data):
+        ins, out = spec.split("->")
+        subs = ins.split(",")
+        dims = {ch: data.draw(st.integers(1, 3))
+                for ch in sorted(set(ins) - {","})}
+        operands = []
+        for sub in subs:
+            shape = tuple(dims[ch] for ch in sub)
+            if data.draw(st.booleans()):
+                operands.append(_jets(data.draw, n, shape))
+            else:
+                values = data.draw(st.lists(st.integers(-4, 4),
+                                            min_size=math.prod(shape),
+                                            max_size=math.prod(shape)))
+                operands.append(np.array(values, float).reshape(shape))
+        got = einsum(spec, *operands)
+        if not any(isinstance(op, Jet) for op in operands):
+            assert np.array_equal(got, np.einsum(spec, *operands))
+            return
+        letters = sorted(dims)
+        want = {}
+        for values in np.ndindex(*(dims[ch] for ch in letters)):
+            at = dict(zip(letters, values))
+            term = {(0,) * n: 1.0}
+            for op, sub in zip(operands, subs):
+                term = _poly_mul(term, _entry(op, tuple(at[ch] for ch in sub), n))
+            key = tuple(at[ch] for ch in out)
+            want[key] = _poly_add(want.get(key, {}), term)
+        assert got.shape == tuple(dims[ch] for ch in out)
+        for key, poly in want.items():
+            assert np.array_equal(got.c[key], _coeffs(poly, n))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 4]), st.integers(1, 3), st.data())
+    def test_neumann_inverse(self, n, d, data):
+        mat = _jets(data.draw, n, (d, d)) + Jet.constant(10.0 * np.eye(d), n)
+        inv = jet_matrix_inverse(mat)
+        for i in range(d):
+            for j in range(d):
+                acc = {}
+                for k in range(d):
+                    acc = _poly_add(acc, _poly_mul(_poly(mat.c[i, k], n),
+                                                   _poly(inv.c[k, j], n)))
+                want = {(0,) * n: float(i == j)}
+                assert np.allclose(_coeffs(acc, n), _coeffs(want, n),
+                                   atol=1e-12)
+
+    def test_partials_against_finite_differences(self):
+        # The jet of a rational map and its partials, as jets, against the
+        # finite-difference oracle for every first and second partial.
+        def f(p):
+            x, y = p
+            return (x * x * y + 1.0) / (2.0 + x * x + y * y)
+
+        u = np.array([0.3, -0.4])
+        x, y = seed_point(u)
+        jet = (x * x * y + 1.0) / (2.0 + x * x + y * y)
+        partials = jet_partials(jet)
+        for i in range(2):
+            for alpha in multi_indices(2):
+                if sum(alpha) > 1:
+                    continue
+                raised = tuple(a + (k == i) for k, a in enumerate(alpha))
+                want = fd_oracle(f, u, raised, 1e-3)
+                assert extract(partials[i], alpha) == pytest.approx(
+                    want, abs=1e-5)
