@@ -263,7 +263,9 @@ def render_text(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as compact JSON on one line (``python -m json.tool``
+    pretty-prints it)."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def list_cases_text() -> str:

@@ -2,7 +2,8 @@
 
 Every check evaluates the two sides of one identity on random tangent and
 normal tuples drawn from a seeded generator, and reports the normalized
-residual |LHS - RHS|_inf / (1 + max(|LHS|_inf, |RHS|_inf)).  The catalog
+residual |LHS - RHS|_inf / (1 + max(|LHS|_inf, |RHS|_inf)) of each tuple.
+Each check runs once per point, over all its tuples at once.  The catalog
 covers the fundamental equations of submanifold geometry (Gauss, Codazzi,
 Ricci), the Kaehler compatibility conditions, the interaction of the
 complex structure with the second fundamental form, the shape operators
@@ -17,10 +18,11 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ambient import curvature_operator
 from .submanifold import ExtrinsicData, normalized_residual
 
 
@@ -65,80 +67,89 @@ REGISTRY_BY_ID = {chk.identity_id: chk for chk in REGISTRY}
 
 
 class _Evaluator:
-    """All identities over one data package, vectors supplied per call.
+    """All identities over one data package, on a batch of tuples per call.
 
     Tangent vectors are coefficient arrays over the coordinate frame,
     normal vectors coefficient arrays over the orthonormal normal frame.
+    Each check takes X, Y, Z, W of shape (Q, 2m) and xi, eta of shape
+    (Q, 2l), one tuple per row, and returns its two sides with the tuple
+    axis first.
     """
 
     def __init__(self, data: ExtrinsicData):
-        self.d = data
+        d = self.d = data
         self.nu = 2 * data.m
         self.p = 2 * data.l
+        # The adapted frame: tangent components first, then normal ones.
+        # The bundles are orthogonal, so the metric and J are block diagonal
+        # and every pairing across slot kinds vanishes.
+        n = self.nu + self.p
+        G, J = np.zeros((n, n)), np.zeros((n, n))
+        G[:self.nu, :self.nu], G[self.nu:, self.nu:] = d.g, np.eye(self.p)
+        J[:self.nu, :self.nu], J[self.nu:, self.nu:] = d.J_tan, d.J_nor
+        self._forms = np.stack([G, J.T @ G])  # <U, V> and <JU, V>
 
-    def _inner_tan(self, U, V) -> float:
-        return float(U @ self.d.g @ V)
+    def _inner_tan(self, U, V) -> np.ndarray:
+        return np.einsum("qi,ij,qj->q", U, self.d.g, V)
 
-    # Closed-form ambient curvature with each slot tangent ("t") or normal
-    # ("n"), written in adapted-frame components; tangent slots carry the
-    # induced metric and J_tan, normal slots the identity metric and J_nor.
-    def _amb_r(self, X, Y, Z, W, slots) -> float:
-        d = self.d
-        g_of = {"t": d.g, "n": np.eye(self.p)}
-        J_of = {"t": d.J_tan, "n": d.J_nor}
-        sx, sy, sz, sw = slots
-        JX = J_of[sx] @ X
-        JY = J_of[sy] @ Y
-        JZ = J_of[sz] @ Z
-
-        # The tangent and normal bundles are orthogonal, so inner products
-        # across different slot kinds vanish.
-        def pair(U, su, V, sv):
-            return float(U @ g_of[su] @ V) if su == sv else 0.0
-
+    # Closed-form ambient curvature <R(X, Y)Z, W> with each slot tangent
+    # ("t") or normal ("n"), written in adapted-frame components.
+    def _amb_r(self, slots, X, Y, Z, W) -> np.ndarray:
+        part = {"t": slice(None, self.nu), "n": slice(self.nu, None)}
+        V = np.zeros((len(X), 4, self.nu + self.p))
+        for s, (kind, vec) in enumerate(zip(slots, (X, Y, Z, W))):
+            V[:, s, part[kind]] = vec
+        P, K = np.einsum("qan,knm,qbm->kabq", V, self._forms, V)
         val = (
-            pair(Y, sy, Z, sz) * pair(X, sx, W, sw)
-            - pair(X, sx, Z, sz) * pair(Y, sy, W, sw)
-            + pair(JY, sy, Z, sz) * pair(JX, sx, W, sw)
-            - pair(JX, sx, Z, sz) * pair(JY, sy, W, sw)
-            + 2.0 * pair(X, sx, JY, sy) * pair(JZ, sz, W, sw)
+            P[1, 2] * P[0, 3]
+            - P[0, 2] * P[1, 3]
+            + K[1, 2] * K[0, 3]
+            - K[0, 2] * K[1, 3]
+            + 2.0 * K[1, 0] * K[2, 3]
         )
-        return d.c / 4.0 * val
+        return self.d.c / 4.0 * val
 
     def _amb_r_normal_part(self, X, Y, Z) -> np.ndarray:
         """Normal components of the closed-form ambient R(X, Y)Z."""
-        out = np.empty(self.p)
-        basis = np.eye(self.p)
-        for a in range(self.p):
-            out[a] = self._amb_r(X, Y, Z, basis[a], "tttn")
-        return out
+        # Taken in chart components: in the adapted frame every term of the
+        # closed form pairs across slot kinds here, so it would read 0 by
+        # construction whatever the frames.
+        d = self.d
+        R = curvature_operator(d.c, d.g_amb, d.J_amb, X @ d.T, Y @ d.T, Z @ d.T)
+        return R @ d.g_amb @ d.N.T
 
     def _nabla_A_op(self, Z, xi) -> np.ndarray:
-        """Matrix of (nabla_Z A)_xi acting on tangent coefficient vectors."""
-        return np.einsum("sakj,s,a->kj", self.d.nabla_A, Z, xi)
+        """Matrices of (nabla_Z A)_xi acting on tangent coefficient vectors."""
+        return np.einsum("sakj,qs,qa->qkj", self.d.nabla_A, Z, xi)
 
     def _A_op(self, xi) -> np.ndarray:
-        return np.einsum("akj,a->kj", self.d.A, xi)
+        return np.einsum("akj,qa->qkj", self.d.A, xi)
+
+    @staticmethod
+    def _each(Q, lhs, rhs):
+        """A pair of sides that does not depend on the tuples, once per tuple."""
+        return (np.broadcast_to(lhs, (Q,) + np.shape(lhs)),
+                np.broadcast_to(rhs, (Q,) + np.shape(rhs)))
 
     # -- fundamental equations ------------------------------------------------
 
     def eq_1_3_gauss(self, X, Y, Z, W, xi, eta):
         d = self.d
-        lhs = self._amb_r(X, Y, Z, W, "tttt")
-        r = np.einsum("ijkl,i,j,k,l->", d.r, X, Y, Z, W)
-        bXZ = np.einsum("aij,i,j->a", d.b, X, Z)
-        bYW = np.einsum("aij,i,j->a", d.b, Y, W)
-        bXW = np.einsum("aij,i,j->a", d.b, X, W)
-        bYZ = np.einsum("aij,i,j->a", d.b, Y, Z)
-        rhs = r + bXZ @ bYW - bXW @ bYZ
-        return np.array([lhs]), np.array([rhs])
+        lhs = self._amb_r("tttt", X, Y, Z, W)
+        r = np.einsum("ijkl,qi,qj,qk,ql->q", d.r, X, Y, Z, W)
+        bXZ = np.einsum("aij,qi,qj->qa", d.b, X, Z)
+        bYW = np.einsum("aij,qi,qj->qa", d.b, Y, W)
+        bXW = np.einsum("aij,qi,qj->qa", d.b, X, W)
+        bYZ = np.einsum("aij,qi,qj->qa", d.b, Y, Z)
+        rhs = r + _dot(bXZ, bYW) - _dot(bXW, bYZ)
+        return lhs[:, None], rhs[:, None]
 
     def eq_1_4_codazzi(self, X, Y, Z, W, xi, eta):
         d = self.d
         lhs = self._amb_r_normal_part(X, Y, Z)
         rhs = (
-            np.einsum("iajk,i,j,k->a", d.nabla_b, X, Y, Z)
-            - np.einsum("iajk,i,j,k->a", d.nabla_b, Y, X, Z)
+            np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, X, Y, Z)
+            - np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, Y, X, Z)
         )
         return lhs, rhs
 
@@ -148,19 +159,19 @@ class _Evaluator:
 
     def eq_2_10_codazzi_symmetry(self, X, Y, Z, W, xi, eta):
         d = self.d
-        lhs = np.einsum("iajk,i,j,k->a", d.nabla_b, X, Y, Z)
-        rhs = np.einsum("iajk,j,i,k->a", d.nabla_b, X, Y, Z)
+        lhs = np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, X, Y, Z)
+        rhs = np.einsum("iajk,qj,qi,qk->qa", d.nabla_b, X, Y, Z)
         return lhs, rhs
 
     def eq_1_5_ricci(self, X, Y, Z, W, xi, eta):
         d = self.d
-        lhs = self._amb_r(X, Y, xi, eta, "ttnn")
-        rp = np.einsum("ijab,i,j,a,b->", d.r_perp, X, Y, xi, eta)
+        lhs = self._amb_r("ttnn", X, Y, xi, eta)
+        rp = np.einsum("ijab,qi,qj,qa,qb->q", d.r_perp, X, Y, xi, eta)
         Axi = self._A_op(xi)
         Aeta = self._A_op(eta)
-        comm = (Axi @ Aeta - Aeta @ Axi) @ X
+        comm = _apply(Axi @ Aeta - Aeta @ Axi, X)
         rhs = rp - self._inner_tan(comm, Y)
-        return np.array([lhs]), np.array([rhs])
+        return lhs[:, None], rhs[:, None]
 
     # -- Kaehler conditions of the ambient ------------------------------------
 
@@ -168,7 +179,7 @@ class _Evaluator:
         d = self.d
         J = d.J_amb
         lhs = J.T @ d.g_amb @ J
-        return lhs, d.g_amb
+        return self._each(len(X), lhs, d.g_amb)
 
     def eq_1_11_parallel_j(self, X, Y, Z, W, xi, eta):
         d = self.d
@@ -177,7 +188,7 @@ class _Evaluator:
         # slotwise: Gamma^D_{AB} J^B_C - J^D_B Gamma^B_{AC} = 0.
         lhs = np.einsum("dab,bc->dac", d.gamma_amb, J)
         rhs = np.einsum("db,bac->dac", J, d.gamma_amb)
-        return lhs, rhs
+        return self._each(len(X), lhs, rhs)
 
     # -- duality and J-compatibility on the submanifold ------------------------
 
@@ -186,21 +197,21 @@ class _Evaluator:
         # side assembled from raw ingredients (db, gamma, gamma_perp, b)
         # rather than the precomputed derivative of b.
         d = self.d
-        lhs = self._inner_tan(self._nabla_A_op(Z, xi) @ X, Y)
+        lhs = self._inner_tan(_apply(self._nabla_A_op(Z, xi), X), Y)
         nb = (
             d.db
             - np.einsum("tij,atk->iajk", d.gamma, d.b)
             - np.einsum("tik,ajt->iajk", d.gamma, d.b)
             + np.einsum("aci,cjk->iajk", d.gamma_perp, d.b)
         )
-        rhs = float(np.einsum("iajk,i,j,k->a", nb, Z, X, Y) @ xi)
-        return np.array([lhs]), np.array([rhs])
+        rhs = np.einsum("iajk,qi,qj,qk,qa->q", nb, Z, X, Y, xi)
+        return lhs[:, None], rhs[:, None]
 
     def eq_2_3(self, X, Y, Z, W, xi, eta):
         # (nabla_Z A)_{J xi} = J (nabla_Z A)_xi.
         d = self.d
-        lhs = self._nabla_A_op(Z, d.J_nor @ xi) @ X
-        rhs = d.J_tan @ (self._nabla_A_op(Z, xi) @ X)
+        lhs = _apply(self._nabla_A_op(Z, xi @ d.J_nor.T), X)
+        rhs = _apply(self._nabla_A_op(Z, xi), X) @ d.J_tan.T
         return lhs, rhs
 
     def eq_2_4_tangent(self, X, Y, Z, W, xi, eta):
@@ -211,21 +222,21 @@ class _Evaluator:
             + np.einsum("kit,tj->ikj", d.gamma, d.J_tan)
             - np.einsum("tij,kt->ikj", d.gamma, d.J_tan)
         )
-        lhs = np.einsum("ikj,i,j->k", nJ, X, Y)
+        lhs = np.einsum("ikj,qi,qj->qk", nJ, X, Y)
         return lhs, np.zeros_like(lhs)
 
     def eq_2_4_normal(self, X, Y, Z, W, xi, eta):
         # J b(X, Y) = b(X, J Y).
         d = self.d
-        lhs = d.J_nor @ np.einsum("aij,i,j->a", d.b, X, Y)
-        rhs = np.einsum("aij,i,j->a", d.b, X, d.J_tan @ Y)
+        lhs = np.einsum("aij,qi,qj->qa", d.b, X, Y) @ d.J_nor.T
+        rhs = np.einsum("aij,qi,qj->qa", d.b, X, Y @ d.J_tan.T)
         return lhs, rhs
 
     def eq_2_5_shape(self, X, Y, Z, W, xi, eta):
         # A_{J xi} = J A_xi.
         d = self.d
-        lhs = self._A_op(d.J_nor @ xi) @ X
-        rhs = d.J_tan @ (self._A_op(xi) @ X)
+        lhs = _apply(self._A_op(xi @ d.J_nor.T), X)
+        rhs = _apply(self._A_op(xi), X) @ d.J_tan.T
         return lhs, rhs
 
     def eq_2_5_normal(self, X, Y, Z, W, xi, eta):
@@ -236,37 +247,37 @@ class _Evaluator:
             + np.einsum("bci,ca->iba", d.gamma_perp, d.J_nor)
             - np.einsum("cai,bc->iba", d.gamma_perp, d.J_nor)
         )
-        lhs = np.einsum("iba,i,a->b", nJ, X, xi)
+        lhs = np.einsum("iba,qi,qa->qb", nJ, X, xi)
         return lhs, np.zeros_like(lhs)
 
     def eq_2_6(self, X, Y, Z, W, xi, eta):
         # (nabla_{JZ} b)(X, Y) = J ((nabla_Z b)(X, Y)).
         d = self.d
-        lhs = np.einsum("iajk,i,j,k->a", d.nabla_b, d.J_tan @ Z, X, Y)
-        rhs = d.J_nor @ np.einsum("iajk,i,j,k->a", d.nabla_b, Z, X, Y)
+        lhs = np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, Z @ d.J_tan.T, X, Y)
+        rhs = np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, Z, X, Y) @ d.J_nor.T
         return lhs, rhs
 
     def eq_2_7(self, X, Y, Z, W, xi, eta):
         # (nabla_{JZ} A)_xi = -J (nabla_Z A)_xi.
         d = self.d
-        lhs = self._nabla_A_op(d.J_tan @ Z, xi) @ X
-        rhs = -d.J_tan @ (self._nabla_A_op(Z, xi) @ X)
+        lhs = _apply(self._nabla_A_op(Z @ d.J_tan.T, xi), X)
+        rhs = -_apply(self._nabla_A_op(Z, xi), X) @ d.J_tan.T
         return lhs, rhs
 
     def eq_2_8(self, X, Y, Z, W, xi, eta):
         # J A_xi = -A_xi J.
         d = self.d
         Axi = self._A_op(xi)
-        lhs = d.J_tan @ (Axi @ X)
-        rhs = -Axi @ (d.J_tan @ X)
+        lhs = _apply(Axi, X) @ d.J_tan.T
+        rhs = -_apply(Axi, X @ d.J_tan.T)
         return lhs, rhs
 
     def eq_2_9(self, X, Y, Z, W, xi, eta):
         # J (nabla_Z A)_xi = -(nabla_Z A)_xi J.
         d = self.d
         nA = self._nabla_A_op(Z, xi)
-        lhs = d.J_tan @ (nA @ X)
-        rhs = -nA @ (d.J_tan @ X)
+        lhs = _apply(nA, X) @ d.J_tan.T
+        rhs = -_apply(nA, X @ d.J_tan.T)
         return lhs, rhs
 
     def eq_2_11(self, X, Y, Z, W, xi, eta):
@@ -287,83 +298,106 @@ class _Evaluator:
             - np.einsum("cas,ijcb->sijab", d.gamma_perp, T)
             + np.einsum("bcs,ijac->sijab", d.gamma_perp, T)
         )
-        lhs = np.einsum("sijab,s,i,j,a->b", nT, Z, X, Y, xi)
+        lhs = np.einsum("sijab,qs,qi,qj,qa->qb", nT, Z, X, Y, xi)
         return lhs, np.zeros_like(lhs)
 
     # -- closed forms for the normal curvature and its derivative --------------
 
     def eq_2_12(self, X, Y, Z, W, xi, eta):
         d = self.d
-        lhs = np.einsum("ijab,i,j,a->b", d.r_perp, X, Y, xi)
-        gXJY = self._inner_tan(X, d.J_tan @ Y)
+        lhs = np.einsum("ijab,qi,qj,qa->qb", d.r_perp, X, Y, xi)
+        gXJY = self._inner_tan(X, Y @ d.J_tan.T)
         Axi = self._A_op(xi)
         rhs = (
-            d.c / 2.0 * gXJY * (d.J_nor @ xi)
-            + np.einsum("aij,i,j->a", d.b, X, Axi @ Y)
-            - np.einsum("aij,i,j->a", d.b, Y, Axi @ X)
+            d.c / 2.0 * gXJY[:, None] * (xi @ d.J_nor.T)
+            + np.einsum("aij,qi,qj->qa", d.b, X, _apply(Axi, Y))
+            - np.einsum("aij,qi,qj->qa", d.b, Y, _apply(Axi, X))
         )
         return lhs, rhs
 
     def eq_2_13(self, X, Y, Z, W, xi, eta):
         d = self.d
-        lhs = np.einsum("sijab,s,i,j,a->b", d.nabla_r_perp, Z, X, Y, xi)
+        lhs = np.einsum("sijab,qs,qi,qj,qa->qb", d.nabla_r_perp, Z, X, Y, xi)
         Axi = self._A_op(xi)
-        nbZ = np.einsum("sajk,s->ajk", d.nabla_b, Z)
+        nbZ = np.einsum("sajk,qs->qajk", d.nabla_b, Z)
         nAxi = self._nabla_A_op(Z, xi)
         rhs = (
-            np.einsum("ajk,j,k->a", nbZ, X, Axi @ Y)
-            + np.einsum("aij,i,j->a", d.b, X, nAxi @ Y)
-            - np.einsum("ajk,j,k->a", nbZ, Y, Axi @ X)
-            - np.einsum("aij,i,j->a", d.b, Y, nAxi @ X)
+            np.einsum("qajk,qj,qk->qa", nbZ, X, _apply(Axi, Y))
+            + np.einsum("aij,qi,qj->qa", d.b, X, _apply(nAxi, Y))
+            - np.einsum("qajk,qj,qk->qa", nbZ, Y, _apply(Axi, X))
+            - np.einsum("aij,qi,qj->qa", d.b, Y, _apply(nAxi, X))
         )
         return lhs, rhs
 
     def eq_2_14(self, X, Y, Z, W, xi, eta):
         d = self.d
         lhs = np.einsum(
-            "sijab,s,i,j,a,b->", d.nabla_r_perp, Z, X, Y, xi, eta
+            "sijab,qs,qi,qj,qa,qb->q", d.nabla_r_perp, Z, X, Y, xi, eta
         )
         Axi = self._A_op(xi)
         Aeta = self._A_op(eta)
         nAxi = self._nabla_A_op(Z, xi)
         nAeta = self._nabla_A_op(Z, eta)
         comm = (nAxi @ Aeta - Aeta @ nAxi) + (Axi @ nAeta - nAeta @ Axi)
-        rhs = self._inner_tan(comm @ X, Y)
-        return np.array([lhs]), np.array([rhs])
+        rhs = self._inner_tan(_apply(comm, X), Y)
+        return lhs[:, None], rhs[:, None]
 
     def eq_2_15(self, X, Y, Z, W, xi, eta):
         d = self.d
         lhs = np.einsum(
-            "sijab,s,i,j,a,b->", d.nabla_r_perp, d.J_tan @ Z, X, Y, xi, eta
+            "sijab,qs,qi,qj,qa,qb->q", d.nabla_r_perp, Z @ d.J_tan.T, X, Y, xi, eta
         )
         rhs = np.einsum(
-            "sijab,s,i,j,a,b->", d.nabla_r_perp, Z, X, Y, d.J_nor @ xi, eta
+            "sijab,qs,qi,qj,qa,qb->q", d.nabla_r_perp, Z, X, Y, xi @ d.J_nor.T, eta
         )
-        nAJxi = self._nabla_A_op(Z, d.J_nor @ xi)
+        nAJxi = self._nabla_A_op(Z, xi @ d.J_nor.T)
         Aeta = self._A_op(eta)
         comm = nAJxi @ Aeta - Aeta @ nAJxi
-        rhs -= 2.0 * self._inner_tan(comm @ X, Y)
-        return np.array([lhs]), np.array([rhs])
+        rhs -= 2.0 * self._inner_tan(_apply(comm, X), Y)
+        return lhs[:, None], rhs[:, None]
 
     # -- route agreements and structural sanity ---------------------------------
 
-    def two_path_nabla_b(self, *_):
-        return np.array([self.d.two_path["two_path_nabla_b"]]), np.zeros(1)
+    def _two_path(self, route, Q):
+        return self._each(Q, [self.d.two_path[route]], [0.0])
 
-    def two_path_r_perp(self, *_):
-        return np.array([self.d.two_path["two_path_r_perp"]]), np.zeros(1)
+    def two_path_nabla_b(self, X, *_):
+        return self._two_path("two_path_nabla_b", len(X))
 
-    def two_path_r(self, *_):
-        return np.array([self.d.two_path["two_path_r"]]), np.zeros(1)
+    def two_path_r_perp(self, X, *_):
+        return self._two_path("two_path_r_perp", len(X))
 
-    def two_path_nabla_r(self, *_):
-        return np.array([self.d.two_path["two_path_nabla_r"]]), np.zeros(1)
+    def two_path_r(self, X, *_):
+        return self._two_path("two_path_r", len(X))
+
+    def two_path_nabla_r(self, X, *_):
+        return self._two_path("two_path_nabla_r", len(X))
 
     def nabla_a_self_adjoint(self, X, Y, Z, W, xi, eta):
         nA = self._nabla_A_op(Z, xi)
-        lhs = self._inner_tan(nA @ X, Y)
-        rhs = self._inner_tan(X, nA @ Y)
-        return np.array([lhs]), np.array([rhs])
+        lhs = self._inner_tan(_apply(nA, X), Y)
+        rhs = self._inner_tan(X, _apply(nA, Y))
+        return lhs[:, None], rhs[:, None]
+
+
+def _apply(M, V) -> np.ndarray:
+    """Each row's matrix applied to that row's vector."""
+    return np.einsum("qkj,qj->qk", M, V)
+
+
+def _dot(U, V) -> np.ndarray:
+    """Row-wise dot products."""
+    return np.einsum("qa,qa->q", U, V)
+
+
+def _draw_tuples(rng, n_tuples: int, nu: int, p: int) -> list:
+    """X, Y, Z, W (n_tuples, nu) and xi, eta (n_tuples, p), uniform in [-1, 1].
+
+    One draw, split by columns: the same doubles in the same order as
+    drawing X, Y, Z, W, xi, eta vector by vector, tuple after tuple.
+    """
+    flat = rng.uniform(-1.0, 1.0, (n_tuples, 4 * nu + 2 * p))
+    return np.split(flat, [nu, 2 * nu, 3 * nu, 4 * nu, 4 * nu + p], axis=1)
 
 
 def run_identity_suite(
@@ -375,38 +409,22 @@ def run_identity_suite(
 ) -> list:
     """All registry checks on one point; returns a list of result dicts.
 
-    Each check is evaluated on ``n_tuples`` random tuples of four tangent
-    and two normal vectors with components uniform in [-1, 1]; the reported
-    residual is the worst over tuples.  ``tolerances`` maps identity ids to
-    replacement tolerances.  ``b_override`` substitutes the stored second
-    fundamental form (negative-control hook).
+    Each check is evaluated once, on all ``n_tuples`` random tuples of four
+    tangent and two normal vectors with components uniform in [-1, 1]; the
+    reported residual is the worst of the per-tuple residuals.
+    ``tolerances`` maps identity ids to replacement tolerances.
+    ``b_override`` substitutes the stored second fundamental form
+    (negative-control hook).
     """
     rng = np.random.default_rng(rng_seed)
     if b_override is not None:
-        import copy
-
-        data = copy.copy(data)
-        data.b = np.asarray(b_override, float)
+        data = replace(data, b=np.asarray(b_override, float))
     ev = _Evaluator(data)
-    nu, p = ev.nu, ev.p
-    tuples = [
-        (
-            rng.uniform(-1.0, 1.0, nu),
-            rng.uniform(-1.0, 1.0, nu),
-            rng.uniform(-1.0, 1.0, nu),
-            rng.uniform(-1.0, 1.0, nu),
-            rng.uniform(-1.0, 1.0, p),
-            rng.uniform(-1.0, 1.0, p),
-        )
-        for _ in range(n_tuples)
-    ]
+    tuples = _draw_tuples(rng, n_tuples, ev.nu, ev.p)
     results = []
     for chk in REGISTRY:
-        fn = getattr(ev, chk.identity_id)
-        worst = 0.0
-        for tup in tuples:
-            lhs, rhs = fn(*tup)
-            worst = max(worst, normalized_residual(lhs, rhs))
+        lhs, rhs = getattr(ev, chk.identity_id)(*tuples)
+        worst = float(normalized_residual(lhs, rhs, batched=True).max(initial=0.0))
         tol = chk.tolerance
         if tolerances and chk.identity_id in tolerances:
             tol = float(tolerances[chk.identity_id])

@@ -218,12 +218,21 @@ class ExtrinsicData:
     frame_residuals: dict = field(default_factory=dict)
 
 
-def normalized_residual(p1, p2) -> float:
-    """|p1 - p2|_inf / (1 + max(|p1|_inf, |p2|_inf))."""
+def normalized_residual(p1, p2, batched: bool = False):
+    """|p1 - p2|_inf / (1 + max(|p1|_inf, |p2|_inf)).
+
+    With ``batched`` the leading axis indexes independent pairs, and the
+    result is the array of their residuals, one per row.
+    """
+    if not batched:
+        return float(normalized_residual([p1], [p2], batched=True)[0])
     p1 = np.asarray(p1, float)
     p2 = np.asarray(p2, float)
-    den = 1.0 + max(np.abs(p1).max(initial=0.0), np.abs(p2).max(initial=0.0))
-    return float(np.abs(p1 - p2).max(initial=0.0) / den)
+
+    def top(a):  # the largest |entry| of each row
+        return np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
+
+    return top(p1 - p2) / (1.0 + np.maximum(top(p1), top(p2)))
 
 
 def covariant_derivative(T, dT, gamma, gamma_perp, slots) -> np.ndarray:

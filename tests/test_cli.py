@@ -209,6 +209,16 @@ class TestRun:
                 assert all(math.isfinite(v) and v >= 0.0
                            for v in residuals.values())
 
+    def test_compact_report_round_trips(self):
+        # The default run's report is one line of JSON that loads back to
+        # the report itself.
+        code, report = cli.run(cli.RunConfig())
+        assert code == cli.EXIT_OK
+        rendered = cli.render_json(report)
+        assert json.loads(rendered) == report
+        assert rendered.endswith("\n")
+        assert rendered.count("\n") == 1
+
     def test_classification_recorded(self, capsys):
         assert run_cli(
             ["run", "--case", "veronese_cp2", "--points", "3"]

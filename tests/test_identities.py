@@ -1,8 +1,12 @@
-"""Identity suite: registry coverage, residual levels, negative controls."""
+"""Identity suite: registry coverage, residual levels, negative controls,
+tuple batching."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kaehlerlab import ambient as amb
 from kaehlerlab import identities as idn
 from kaehlerlab import submanifold as sm
 
@@ -80,3 +84,62 @@ class TestNegativeControls:
         results = suite_for("graph_z2_c2", [0.5, 0.2], seed=11)
         by_id = {r["id"]: r for r in results}
         assert by_id["eq_2_1_duality"]["passed"]
+
+
+def _chart_cubic_surface(z):
+    return [z[0], z[1], z[0] * z[0] * z[1] + z[1] * z[1] * z[1]]
+
+
+CUBIC_SURFACE = sm.ImmersionCase(
+    "cubic_graph_c3", 2, amb.flat(3), _chart_cubic_surface,
+    ((-1.0, 1.0),) * 4, sm.GENERIC,
+)
+
+
+class TestTupleBatch:
+    @pytest.mark.parametrize("case, u", [
+        (sm.get_case("veronese_cp2"), [0.3, -0.6]),
+        (CUBIC_SURFACE, [0.4, -0.3, 0.2, 0.5]),
+    ], ids=["veronese_cp2", "cubic_surface"])
+    def test_each_tuple_evaluated_on_its_own(self, case, u):
+        # Row q of a batch of tuples gives what tuple q gives alone: no check
+        # mixes one tuple's vectors into another's sides.
+        ev = idn._Evaluator(sm.extrinsic_data(case, u))
+        batch = idn._draw_tuples(np.random.default_rng(29), 8, ev.nu, ev.p)
+        for chk in idn.REGISTRY:
+            fn = getattr(ev, chk.identity_id)
+            lhs, rhs = fn(*batch)
+            assert lhs.shape[0] == rhs.shape[0] == 8, chk.identity_id
+            for q in range(8):
+                lhs1, rhs1 = fn(*(v[q:q + 1] for v in batch))
+                for got, want in ((lhs[q], lhs1[0]), (rhs[q], rhs1[0])):
+                    np.testing.assert_allclose(
+                        got, want, rtol=1e-12, atol=1e-14,
+                        err_msg=f"{chk.identity_id}, tuple {q}")
+
+    @pytest.mark.parametrize("nu, p", [(2, 2), (2, 4), (4, 2)])
+    @pytest.mark.parametrize("n_tuples", [1, 3, 8])
+    def test_draw_order_is_vector_by_vector(self, nu, p, n_tuples):
+        # The batched draw reproduces, bit for bit, drawing X, Y, Z, W, xi,
+        # eta one vector at a time, tuple after tuple.
+        for seed in (0, 5, 42, 2**32 + 3):
+            batch = idn._draw_tuples(np.random.default_rng(seed), n_tuples, nu, p)
+            rng = np.random.default_rng(seed)
+            for q in range(n_tuples):
+                for k, width in enumerate((nu, nu, nu, nu, p, p)):
+                    want = rng.uniform(-1.0, 1.0, width)
+                    assert np.array_equal(batch[k][q], want)
+
+
+class TestAmbientProjection:
+    def test_tangent_directions_are_seen(self):
+        # eq_1_4_ambient_projection reads round-off because the normal frame
+        # is normal; with tangent rows in its place the same check must see
+        # the ambient curvature, so its left side is not identically zero.
+        data = sm.extrinsic_data(sm.get_case("veronese_cp2"), [0.2, 0.6])
+        clean = {r["id"]: r for r in idn.run_identity_suite(data, rng_seed=3)}
+        assert clean["eq_1_4_ambient_projection"]["passed"]
+        bent = replace(data, N=data.T)
+        by_id = {r["id"]: r for r in idn.run_identity_suite(bent, rng_seed=3)}
+        assert by_id["eq_1_4_ambient_projection"]["residual"] >= 0.1
+        assert not by_id["eq_1_4_codazzi"]["passed"]
