@@ -80,7 +80,7 @@ def metric(model: AmbientModel, x: Jet) -> Jet:
     if len(x) != d:
         raise ValueError(f"chart point has {len(x)} components, expected {d}")
     if model.kind == FLAT:
-        return Jet.constant(np.eye(d), x.n)
+        return Jet.constant(np.eye(d), x.n).truncate(x.order)
 
     # Fubini-Study: Hermitian components h_{ab} = k (rho d_ab - wbar_a w_b)/rho^2
     # with rho = 1 + |w|^2 and k = 4/c; the real metric is g = Re h under the

@@ -1,11 +1,18 @@
-"""Truncated Taylor (jet) arithmetic of order 3 in n real variables.
+"""Truncated Taylor (jet) arithmetic of order at most 3 in n real variables.
 
-A jet stores the Taylor coefficients of a function at a point, for every
-multi-index of total degree <= 3, in graded lexicographic order.
+A jet of order k stores the Taylor coefficients of a function at a point,
+for every multi-index of total degree <= k, in graded lexicographic order.
+Graded-lex order makes an order-k jet a prefix, of length C(n + k, k), of
+the order-3 coefficients, so a jet's order is its coefficient count:
+``Jet.order`` is read off it and ``Jet.truncate`` is a prefix slice.
 Arithmetic is exact truncated polynomial algebra: products of total degree
-above 3 are discarded.  All higher geometry in this package is built by
-evaluating chart expressions on jets, so that mixed partial derivatives up
-to third order come out of plain arithmetic.
+above the order are discarded.  A derivative lowers the order by one (the
+top degree has no source), and mixed-order arithmetic (``+ - * /``,
+``einsum``, ``stack``, item assignment) truncates to the lower order, so
+each quantity carries just the degrees its inputs determine.  All higher
+geometry in this package is built by evaluating chart expressions on jets,
+so that mixed partial derivatives up to third order come out of plain
+arithmetic; freshly seeded jets have order 3.
 
 A ``Jet`` is array-valued: its coefficients ``c`` have shape
 ``(*shape, K)``, one jet per entry of ``shape`` and the K coefficients on
@@ -55,16 +62,28 @@ def index_position(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _mul_table(n: int):
-    """Coefficient pairs (left, right) whose product survives truncation,
-    sorted by the coefficient they land on, and where each target's run of
-    pairs starts: the product is ``reduceat(a[left] * b[right], starts)``."""
-    idx = multi_indices(n)
+def order_sizes(n: int) -> tuple:
+    """Coefficient count C(n + k, k) of an order-k jet, for k = 0..3."""
+    return tuple(math.comb(n + k, k) for k in range(MAX_DEGREE + 1))
+
+
+def _order_of(n: int, c: np.ndarray) -> int:
+    """Order of the jets with coefficients ``c``, read off their count."""
+    return order_sizes(n).index(c.shape[-1])
+
+
+@lru_cache(maxsize=None)
+def _mul_table(n: int, order: int):
+    """Coefficient pairs (left, right) of two order-``order`` jets whose
+    product survives truncation at that order, sorted by the coefficient
+    they land on, and where each target's run of pairs starts: the product
+    is ``reduceat(a[left] * b[right], starts)``."""
+    idx = multi_indices(n)[:order_sizes(n)[order]]
     pos = index_position(n)
     pairs = []
     for i, a in enumerate(idx):
         for j, b in enumerate(idx):
-            if sum(a) + sum(b) <= MAX_DEGREE:
+            if sum(a) + sum(b) <= order:
                 pairs.append((pos[tuple(x + y for x, y in zip(a, b))], i, j))
     dest, left, right = np.array(sorted(pairs)).T
     starts = np.flatnonzero(np.diff(dest, prepend=-1))
@@ -72,19 +91,17 @@ def _mul_table(n: int):
 
 
 @lru_cache(maxsize=None)
-def _diff_table(n: int):
-    """Gather positions and factors of every partial derivative:
-    ``d_i c[k] = fac[i, k] * c[src[i, k]]``, where src = K points at an
-    appended zero coefficient (degree-3 terms have no source)."""
-    idx = multi_indices(n)
+def _diff_table(n: int, order: int):
+    """Gather positions and factors of every partial derivative of an
+    order-``order`` jet, which has order ``order - 1``:
+    ``d_i c[k] = fac[i, k] * c[src[i, k]]`` for each of its coefficients k
+    (the top degree of the input has no image and is dropped)."""
+    idx = multi_indices(n)[:order_sizes(n)[order - 1]]
     pos = index_position(n)
-    K = len(idx)
-    src = np.full((n, K), K)
-    fac = np.zeros((n, K))
+    src = np.empty((n, len(idx)), dtype=int)
+    fac = np.empty((n, len(idx)))
     for var in range(n):
         for k, a in enumerate(idx):
-            if sum(a) == MAX_DEGREE:
-                continue
             raised = list(a)
             raised[var] += 1
             src[var, k] = pos[tuple(raised)]
@@ -107,18 +124,29 @@ def _project_table(n_old: int, n_keep: int):
 
 def _partials(jet, rows) -> np.ndarray:
     """Coefficients of the partials in the variables ``rows`` (an index or
-    a slice of ``_diff_table``), on the second-to-last axis for a slice."""
-    src, fac = _diff_table(jet.n)
-    padded = np.concatenate([jet.c, np.zeros(jet.shape + (1,))], axis=-1)
-    return padded[..., src[rows]] * fac[rows]
+    a slice of ``_diff_table``), on the second-to-last axis for a slice;
+    one order below ``jet``."""
+    order = jet.order
+    if order == 0:
+        raise ValueError("an order-0 jet has no derivatives")
+    src, fac = _diff_table(jet.n, order)
+    return jet.c[..., src[rows]] * fac[rows]
 
 
-def _lift(value, n: int) -> np.ndarray:
-    """Coefficients of constant jets with the given float value(s)."""
+def _lift(value, size: int) -> np.ndarray:
+    """``size`` coefficients of constant jets with the given float value(s)."""
     value = np.asarray(value, dtype=float)
-    c = np.zeros(value.shape + (len(multi_indices(n)),))
+    c = np.zeros(value.shape + (size,))
     c[..., 0] = value
     return c
+
+
+def _common(a: np.ndarray, b: np.ndarray):
+    """Two coefficient arrays truncated to the lower of their orders."""
+    if a.shape[-1] == b.shape[-1]:
+        return a, b
+    size = min(a.shape[-1], b.shape[-1])
+    return a[..., :size], b[..., :size]
 
 
 def _is_float(x) -> bool:
@@ -127,8 +155,9 @@ def _is_float(x) -> bool:
 
 
 class Jet:
-    """Order-3 Taylor polynomials in ``n`` real variables, one per entry of
-    ``shape``; coefficients ``c`` have shape ``(*shape, K)``."""
+    """Taylor polynomials of order <= 3 in ``n`` real variables, one per
+    entry of ``shape``; coefficients ``c`` have shape ``(*shape, K)``, with
+    K = C(n + order, order)."""
 
     __slots__ = ("n", "c")
 
@@ -137,14 +166,15 @@ class Jet:
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
-        size = len(multi_indices(n))
+        sizes = order_sizes(n)
         if coeffs is None:
-            self.c = np.zeros(size)
+            self.c = np.zeros(sizes[MAX_DEGREE])
         else:
             c = np.array(coeffs, dtype=float)
-            if c.ndim == 0 or c.shape[-1] != size:
+            if c.ndim == 0 or c.shape[-1] not in sizes:
                 raise ValueError(
-                    f"expected {size} coefficients for n={n}, got {c.shape}"
+                    f"expected one of {sizes} coefficients (orders 0 to "
+                    f"{MAX_DEGREE}) for n={n}, got {c.shape}"
                 )
             self.c = c
 
@@ -158,7 +188,20 @@ class Jet:
     @classmethod
     def constant(cls, value, n: int) -> "Jet":
         """Constant jets with the given float value (or array of values)."""
-        return cls._wrap(n, _lift(value, n))
+        return cls._wrap(n, _lift(value, order_sizes(n)[MAX_DEGREE]))
+
+    @property
+    def order(self) -> int:
+        """Highest degree carried: read off the coefficient count."""
+        return _order_of(self.n, self.c)
+
+    def truncate(self, order: int) -> "Jet":
+        """The same jets to a lower (or equal) order: a prefix slice, so a
+        view of these coefficients, like a numpy slice."""
+        if not 0 <= order <= self.order:
+            raise ValueError(
+                f"cannot truncate an order-{self.order} jet to order {order}")
+        return Jet._wrap(self.n, self.c[..., :order_sizes(self.n)[order]])
 
     @property
     def shape(self) -> tuple:
@@ -191,9 +234,18 @@ class Jet:
         return Jet._wrap(self.n, self.c[key + (slice(None),)])
 
     def __setitem__(self, key, value):
+        """Assign floats or jets of at least this order (truncated to it)."""
         if not isinstance(key, tuple):
             key = (key,)
-        self.c[key + (slice(None),)] = self._coeffs(value)
+        o = self._coeffs(value)
+        if o is None:
+            raise TypeError(f"cannot assign {type(value).__name__} to a jet")
+        size = self.c.shape[-1]
+        if o.shape[-1] < size:
+            raise ValueError(
+                f"cannot assign an order-{_order_of(self.n, o)} value "
+                f"into an order-{self.order} jet array")
+        self.c[key + (slice(None),)] = o[..., :size]
 
     def __iter__(self):
         for k in range(len(self)):
@@ -218,7 +270,8 @@ class Jet:
     # -- ring operations ---------------------------------------------------
 
     def _coeffs(self, other):
-        """Coefficients of ``other`` in this ring, or None if foreign."""
+        """Coefficients of ``other`` in this ring (floats lifted to this
+        order, jets at their own), or None if foreign."""
         if isinstance(other, Jet):
             if other.n != self.n:
                 raise ValueError(
@@ -226,14 +279,15 @@ class Jet:
                 )
             return other.c
         if _is_float(other):
-            return _lift(other, self.n)
+            return _lift(other, self.c.shape[-1])
         return None
 
     def __add__(self, other):
         o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return Jet._wrap(self.n, self.c + o)
+        a, o = _common(self.c, o)
+        return Jet._wrap(self.n, a + o)
 
     __radd__ = __add__
 
@@ -244,13 +298,15 @@ class Jet:
         o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return Jet._wrap(self.n, self.c - o)
+        a, o = _common(self.c, o)
+        return Jet._wrap(self.n, a - o)
 
     def __rsub__(self, other):
         o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        return Jet._wrap(self.n, o - self.c)
+        a, o = _common(self.c, o)
+        return Jet._wrap(self.n, o - a)
 
     def __mul__(self, other):
         if _is_float(other):
@@ -258,9 +314,10 @@ class Jet:
         o = self._coeffs(other)
         if o is None:
             return NotImplemented
-        left, right, starts = _mul_table(self.n)
+        a, o = _common(self.c, o)
+        left, right, starts = _mul_table(self.n, _order_of(self.n, a))
         return Jet._wrap(self.n, np.add.reduceat(
-            self.c[..., left] * o[..., right], starts, axis=-1))
+            a[..., left] * o[..., right], starts, axis=-1))
 
     __rmul__ = __mul__
 
@@ -271,7 +328,8 @@ class Jet:
                 f"jet reciprocal: constant term below floor {DIVISION_FLOOR}"
                 f" (smallest {np.abs(a0).min()!r})"
             )
-        # 1/(a0 (1 + e)) with e nilpotent: geometric series through degree 3.
+        # 1/(a0 (1 + e)) with e nilpotent: geometric series through degree 3
+        # (the terms past this jet's order vanish).
         e = Jet._wrap(self.n, self.c / a0)
         e.c[..., 0] = 0.0
         e2 = e * e
@@ -308,8 +366,9 @@ class Jet:
     def derivative(self, var: int) -> "Jet":
         """Jet of the partial derivative with respect to variable ``var``.
 
-        The result's degree-3 coefficients are truncated to zero (one order
-        of derivative information is consumed).
+        The result has one order less: the top-degree coefficients have no
+        source, so the derivative consumes one order.  Raises ``ValueError``
+        on an order-0 jet.
         """
         if not 0 <= var < self.n:
             raise IndexError(f"variable {var} out of range for n={self.n}")
@@ -340,7 +399,8 @@ class Jet:
 
 
 def stack(jets, axis: int = 0) -> Jet:
-    """Join jets of one shape along a new leading axis, like ``np.stack``."""
+    """Join jets of one shape along a new leading axis, like ``np.stack``,
+    at the lowest of their orders."""
     jets = list(jets)
     n = jets[0].n
     if any(j.n != n for j in jets):
@@ -348,7 +408,9 @@ def stack(jets, axis: int = 0) -> Jet:
     ndim = jets[0].ndim + 1
     if not -ndim <= axis < ndim:
         raise np.exceptions.AxisError(axis, ndim)
-    return Jet._wrap(n, np.stack([j.c for j in jets], axis=axis % ndim))
+    size = min(j.c.shape[-1] for j in jets)
+    return Jet._wrap(n, np.stack([j.c[..., :size] for j in jets],
+                                 axis=axis % ndim))
 
 
 def einsum(spec: str, *operands):
@@ -357,9 +419,10 @@ def einsum(spec: str, *operands):
     Operands are folded left to right, keeping at each step the indices a
     later operand or the output still needs; ``...`` broadcasts as in numpy.
     A float operand contracts with the coefficients directly; two jet
-    operands gather the coefficient pairs of the product table, contract
-    over the indices in one ``np.einsum`` with the pairs as a batch axis,
-    and sum the pairs into coefficients.
+    operands are truncated to the lower of their orders, gather the
+    coefficient pairs of that order's product table, contract over the
+    indices in one ``np.einsum`` with the pairs as a batch axis, and sum the
+    pairs into coefficients.
     """
     ins, out = spec.replace(" ", "").replace("...", "*").split("->")
     subs = ins.split(",")
@@ -398,9 +461,10 @@ def _contract(a, sa: str, b, sb, so: str, k: str, p: str):
     if a_jet and b_jet:
         if a.n != b.n:
             raise ValueError(f"jet variable counts differ: {a.n} vs {b.n}")
-        left, right, starts = _mul_table(a.n)
+        ac, bc = _common(a.c, b.c)
+        left, right, starts = _mul_table(a.n, _order_of(a.n, ac))
         pairs = np_einsum(f"{sa}{p},{sb}{p}->{so}{p}",
-                          a.c[..., left], b.c[..., right])
+                          ac[..., left], bc[..., right])
         return Jet._wrap(a.n, np.add.reduceat(pairs, starts, axis=-1))
     if a_jet:
         return Jet._wrap(a.n, np_einsum(f"{sa}{k},{sb}->{so}{k}", a.c, b))
@@ -435,8 +499,9 @@ def extract(jet: Jet, alpha) -> float:
         raise ValueError(f"multi-index length {len(alpha)} != n={jet.n}")
     if any(a < 0 for a in alpha):
         raise ValueError(f"negative exponent in multi-index {alpha}")
-    if sum(alpha) > MAX_DEGREE:
-        raise ValueError(f"multi-index degree {sum(alpha)} exceeds {MAX_DEGREE}")
+    if sum(alpha) > jet.order:
+        raise ValueError(f"multi-index degree {sum(alpha)} exceeds the "
+                         f"jet's order {jet.order}")
     scale = 1.0
     for a in alpha:
         scale *= math.factorial(a)
@@ -564,7 +629,7 @@ def jet_matrix_inverse(mat: Jet) -> Jet:
     """Inverse of a square matrix of jets by the truncated Neumann series.
 
     With G0 the value matrix and E = G - G0 its nilpotent part (no constant
-    term, so E^4 = 0 in order-3 arithmetic), the inverse is exactly
+    term, so E^4 = 0 at every order up to 3), the inverse is exactly
     (G0 + E)^-1 = sum_{k<=3} (-G0^-1 E)^k G0^-1.  Raises
     ``ZeroDivisionError`` when G0 is singular.
     """
@@ -592,13 +657,16 @@ def jet_gradient(arr: Jet) -> np.ndarray:
     """First partials of a jet array, indexed ``[i, *arr.shape]``.
 
     The partial in variable i is the coefficient of u^i, which graded-lex
-    order stores at position 1 + i.
+    order stores at position 1 + i.  Raises ``ValueError`` on an order-0
+    jet, which carries no partials.
     """
+    if arr.order == 0:
+        raise ValueError("an order-0 jet has no gradient")
     return np.moveaxis(arr.c[..., 1:arr.n + 1], -1, 0).copy()
 
 
 def jet_partials(arr: Jet) -> Jet:
-    """Partial derivatives of a jet array, as jets, indexed
-    ``[i, *arr.shape]``: the jet counterpart of ``jet_gradient``, and one
-    gather over the coefficients."""
+    """Partial derivatives of a jet array, as jets of one order less,
+    indexed ``[i, *arr.shape]``: the jet counterpart of ``jet_gradient``,
+    and one gather over the coefficients."""
     return Jet._wrap(arr.n, np.moveaxis(_partials(arr, slice(None)), -2, 0))

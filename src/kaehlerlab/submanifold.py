@@ -12,6 +12,12 @@ in jet arithmetic over the immersion parameters alone: the ambient metric
 and the closed-form ambient connection are evaluated directly on the jets
 of F(u), so no ambient chart derivative is taken.  Each jet tensor is one
 array-valued ``Jet``, built by broadcasting arithmetic and ``jets.einsum``.
+Each jet carries only the order its consumers read, since a derivative
+lowers the order by one and mixed-order arithmetic truncates to the lower
+order: F is order 3; the ambient metric and connection (evaluated on F
+truncated to order 2), T, g, g^-1, N and J in both frames are order 2;
+Gamma, b_vec, b, A, gamma_perp and the curvature jets (rp1, r2, bb and
+the ambient curvature term) are order 1.
 Quantities whose derivative we take downstream are kept as jets; everything
 else is read off their coefficients (``jet_values``, ``jet_gradient``) and
 assembled with float array algebra, every covariant derivative through
@@ -291,8 +297,12 @@ class PointGeometry:
 
     def _build_ambient_along_immersion(self):
         self.F = self.case.map_jets(self.u)
-        self.g_amb_jet = amb.metric(self.case.ambient, self.F)
-        self.connection_amb = amb.connection(self.case.ambient, self.F)
+        # Every use of the ambient metric and connection also involves the
+        # tangent frame (order 2) or what is derived from it, so they are
+        # needed to order 2 only.
+        F2 = self.F.truncate(2)
+        self.g_amb_jet = amb.metric(self.case.ambient, F2)
+        self.connection_amb = amb.connection(self.case.ambient, F2)
         self.gamma_amb = amb.connection_tensor(self.case.ambient,
                                                jet_values(self.F))
 
@@ -301,8 +311,10 @@ class PointGeometry:
         (chart components) along each d/du^i, indexed ``[i, b, A]``."""
         out = jet_partials(V)
         if self.connection_amb is not None:
-            # Components lead, so one call covers every (d/du^i, V_b) pair.
-            gam = self.connection_amb(self.T_jet.T[:, :, None], V.T[:, None, :])
+            # Components lead, so one call covers every (d/du^i, V_b) pair,
+            # at the order the partials leave.
+            T, V = self.T_jet.truncate(out.order), V.truncate(out.order)
+            gam = self.connection_amb(T.T[:, :, None], V.T[:, None, :])
             out = out + gam.transpose(1, 2, 0)
         return out
 
@@ -441,14 +453,17 @@ class PointGeometry:
         """Closed-form <R(d/du^i, d/du^j) Z_a, W_b> as jets, indexed
         ``[i, j, a, b]``, from chart-component vectors ``Z`` and lowered
         ``W_low``.  R is antisymmetric in (i, j), so one operator call covers
-        the pairs i < j, broadcast against every Z_a."""
+        the pairs i < j, broadcast against every Z_a.  Only its value and
+        first partials are read, so it runs on order-1 jets."""
         nu = self.nu
         upper, lower = np.triu_indices(nu, 1)
+        T = self.T_jet.truncate(1)
         RZ = amb.curvature_operator(
-            self.c, self.g_amb_jet, self.J_amb, self.T_jet[upper][:, None],
-            self.T_jet[lower][:, None], Z[None])
+            self.c, self.g_amb_jet.truncate(1), self.J_amb, T[upper][:, None],
+            T[lower][:, None], Z.truncate(1)[None])
         half = einsum("paA,bA->pab", RZ, W_low)
-        out = Jet.constant(np.zeros((nu, nu, len(Z), len(W_low))), nu)
+        out = Jet.constant(np.zeros((nu, nu, len(Z), len(W_low))),
+                           nu).truncate(1)
         out[upper, lower] = half
         out[lower, upper] = -half
         return out

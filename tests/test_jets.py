@@ -20,6 +20,7 @@ from kaehlerlab.jets import (
     jet_partials,
     jet_values,
     multi_indices,
+    order_sizes,
     project_head,
     seed_point,
     seed_variable,
@@ -396,6 +397,8 @@ class TestOracle:
         inv, root = a.reciprocal(), a.sqrt()
         partials = jet_partials(a)
         assert partials.shape == (n,) + shape
+        assert partials.order == 2
+        second = order_sizes(n)[2]  # a derivative drops the top degree
         for idx in np.ndindex(shape):
             p = _poly(a.c[idx], n)
             assert np.allclose(inv.c[idx], _coeffs(_poly_reciprocal(p, n), n),
@@ -405,7 +408,8 @@ class TestOracle:
             assert root.c[idx][0] > 0
             assert np.allclose(_coeffs(square, n), a.c[idx], atol=1e-12)
             for i in range(n):
-                want = _coeffs(_poly_derivative(p, i), n)
+                want = _coeffs(_poly_derivative(p, i), n)[:second]
+                assert a[idx].derivative(i).order == 2
                 assert np.array_equal(a[idx].derivative(i).c, want)
                 assert np.array_equal(partials.c[(i,) + idx], want)
 
@@ -479,3 +483,151 @@ class TestOracle:
                 want = fd_oracle(f, u, raised, 1e-3)
                 assert extract(partials[i], alpha) == pytest.approx(
                     want, abs=1e-5)
+
+
+# -- order-aware jets: mixed orders truncate to the lower one --------------
+
+_ORDERS = st.integers(0, 3)
+
+
+def _float_jets(draw, n, shape):
+    """Order-3 jets with float coefficients in [-4, 4], so that products
+    round and bit-for-bit comparisons see the order of operations."""
+    size = len(multi_indices(n))
+    return Jet(n, draw(hnp.arrays(float, tuple(shape) + (size,),
+                                  elements=st.floats(-4, 4, width=64))))
+
+
+@st.composite
+def _mixed_pair(draw):
+    """Two broadcastable order-3 jet arrays and the orders to cut them to."""
+    n = draw(st.sampled_from([2, 4]))
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                    max_side=3))
+    a, b = (_float_jets(draw, n, s) for s in shapes.input_shapes)
+    return n, a, b, draw(_ORDERS), draw(_ORDERS)
+
+
+_BINARY = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+class TestOrders:
+    def test_order_is_coefficient_count(self):
+        for n in (1, 2, 4):
+            jet = seed_variable(0, 0.5, n)
+            assert jet.order == 3
+            assert len(jet.c) == math.comb(n + 3, 3)
+            for k in range(4):
+                cut = jet.truncate(k)
+                assert cut.order == k
+                assert len(cut.c) == math.comb(n + k, k)
+                assert np.array_equal(cut.c, jet.c[:len(cut.c)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mixed_pair(), st.sampled_from(sorted(_BINARY)))
+    def test_binary_ops_truncate_to_lower_order(self, case, op):
+        n, a, b, p, q = case
+        if op == "/":
+            b = b + Jet.constant(np.where(b.value >= 0, 6.0, -6.0), n)
+        got = _BINARY[op](a.truncate(p), b.truncate(q))
+        assert got.order == min(p, q)
+        assert got == _BINARY[op](a, b).truncate(min(p, q))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["ij,jk->ik", "ijk,kj->ji", "ij,jk,kl->li",
+                            "i,ij,j->", "ij,ik,il->jkl"]),
+           st.sampled_from([2, 4]), st.data())
+    def test_einsum_truncates_to_lowest_order(self, spec, n, data):
+        ins = spec.split("->")[0]
+        dims = {ch: data.draw(st.integers(1, 3))
+                for ch in sorted(set(ins) - {","})}
+        full, orders = [], []
+        for sub in ins.split(","):
+            full.append(_float_jets(data.draw, n, [dims[ch] for ch in sub]))
+            orders.append(data.draw(_ORDERS))
+        got = einsum(spec, *(j.truncate(k) for j, k in zip(full, orders)))
+        assert got.order == min(orders)
+        assert got == einsum(spec, *full).truncate(min(orders))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4]), st.lists(_ORDERS, min_size=1, max_size=4),
+           st.integers(0, 2), st.data())
+    def test_stack_takes_lowest_order(self, n, orders, ndim, data):
+        shape = data.draw(hnp.array_shapes(min_dims=ndim, max_dims=ndim,
+                                           max_side=3))
+        full = [_float_jets(data.draw, n, shape) for _ in orders]
+        axis = data.draw(st.integers(-ndim - 1, ndim))
+        got = stack([j.truncate(k) for j, k in zip(full, orders)], axis=axis)
+        assert got.order == min(orders)
+        assert got == stack(full, axis=axis).truncate(min(orders))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4]), _ORDERS, _ORDERS,
+           hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), st.data())
+    def test_setitem_truncates_value(self, n, p, q, shape, data):
+        p, q = min(p, q), max(p, q)  # the value has at least the array's order
+        a = _float_jets(data.draw, n, shape)
+        full = _float_jets(data.draw, n, (3,) + shape)
+        cut = full.truncate(p).copy()
+        full[1] = a
+        full[2, ...] = 2.5
+        cut[1] = a.truncate(q)
+        cut[2, ...] = 2.5
+        assert cut.order == p
+        assert cut == full.truncate(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4]), _ORDERS.filter(bool),
+           hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), st.data())
+    def test_derivative_drops_one_order(self, n, p, shape, data):
+        a = _float_jets(data.draw, n, shape).truncate(p)
+        partials = jet_partials(a)
+        assert partials.order == p - 1
+        size = order_sizes(n)[p - 1]
+        for idx in np.ndindex(shape):
+            for i in range(n):
+                # The order-(p - 1) prefix of the zero-padded derivative.
+                want = _coeffs(_poly_derivative(_poly(a.c[idx], n), i),
+                               n)[:size]
+                got = a[idx].derivative(i)
+                assert got.order == p - 1
+                assert np.array_equal(got.c, want)
+                assert np.array_equal(partials.c[(i,) + idx], want)
+
+
+class TestOrderErrors:
+    @pytest.mark.parametrize("op", [
+        jet_gradient,
+        lambda j: j.derivative(0),
+        jet_partials,
+    ], ids=["jet_gradient", "derivative", "jet_partials"])
+    def test_order_zero_has_no_derivatives(self, op):
+        constant = Jet.constant(np.ones((2, 3)), 2).truncate(0)
+        with pytest.raises(ValueError, match="order-0"):
+            op(constant)
+
+    def test_extract_above_order(self):
+        jet = seed_variable(0, 0.5, 2).truncate(1)
+        assert extract(jet, (1, 0)) == 1.0
+        with pytest.raises(ValueError, match="order 1"):
+            extract(jet, (1, 1))
+
+    def test_assign_lower_order_value(self):
+        arr = Jet.constant(np.zeros(3), 2)
+        with pytest.raises(ValueError, match="order-2 value"):
+            arr[0] = seed_variable(0, 0.5, 2).truncate(2)
+
+    def test_coefficient_count_of_no_order(self):
+        # n = 2 has orders of 1, 3, 6 and 10 coefficients.
+        for size in (0, 2, 4, 11):
+            with pytest.raises(ValueError, match="coefficients"):
+                Jet(2, np.zeros(size))
+
+    def test_truncate_cannot_raise_order(self):
+        with pytest.raises(ValueError, match="order-1"):
+            seed_variable(0, 0.5, 2).truncate(1).truncate(2)

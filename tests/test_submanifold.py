@@ -191,6 +191,30 @@ class TestAmbientCurvatureTerm:
             assert np.abs(got - want).max() <= 1e-12
 
 
+class TestJetOrders:
+    """Each stage carries only the jet order its consumers read, so a silent
+    fall-back to full-order arithmetic fails here and not only in timing."""
+
+    ORDERS = {
+        "F": 3,
+        "g_amb_jet": 2, "T_jet": 2, "g_jet": 2, "N_jet": 2,
+        "gamma_jet": 1, "b_vec_jet": 1, "b_jet": 1, "A_jet": 1,
+        "gamma_perp_jet": 1,
+    }
+
+    @pytest.mark.parametrize("case, u", [
+        (sm.get_case("linear_c2"), [0.8, -0.6]),
+        (sm.get_case("veronese_cp2"), [0.3, -0.6]),
+        (SEGRE, [0.3, -0.2, 0.1, 0.4]),
+    ], ids=["linear_c2", "veronese_cp2", "segre_cp1xcp1"])
+    def test_stage_orders(self, case, u):
+        geo = sm.PointGeometry(case, u)
+        assert {name: getattr(geo, name).order for name in self.ORDERS} \
+            == self.ORDERS
+        if case.ambient.c != 0.0:
+            assert geo._ambient_curvature(geo.N_jet, geo.N_low).order == 1
+
+
 class TestSurfaceInCurvedAmbient:
     def test_segre_quadric_point(self):
         # The Segre quadric CP1 x CP1 in CP3 (m = 2): a parallel surface that
