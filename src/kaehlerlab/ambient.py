@@ -6,13 +6,17 @@ curvature equals the stored constant ``c``.  Complex coordinate ``w^a``
 pairs with real coordinates ``(u^{2a}, u^{2a+1})``; the complex structure
 rotates each pair by 90 degrees:  J e_{2a} = e_{2a+1},  J e_{2a+1} = -e_{2a}.
 
-The Levi-Civita connection is given in closed form (``connection``): zero
-for flat space, and for Fubini-Study the Kaehler expression in complex
-coordinates, which holds for every ``c``.  Metric components are produced as
-jets of the chart point, so differentiating them (``christoffel_from_metric``)
-gives an independent reference for the closed form.  The curvature tensor is
-likewise available along two independent routes: the closed-form expression
-for a complex space form, and differentiation of the Christoffel symbols.
+Everything is written in closed form on the pairings <.,.> and <J.,.> of
+real chart vectors.  With x the chart point, rho = 1 + |x|^2 and k = 4/c,
+the Fubini-Study metric is (k/rho) I minus the rank-two term
+(k/rho^2)(x x^T + Jx Jx^T), and its Levi-Civita connection
+(``connection``, the same for every ``c``) pairs the vectors with x and
+Jx.  The curvature of a complex space form (``curvature_operator``) is a
+quadratic form in the pairings of its four slots.  Metric components are
+produced as jets of the chart point, so differentiating them
+(``christoffel_from_metric``) gives an independent reference for the
+closed-form connection, and differentiating that connection once more
+(``curvature_from_connection``) one for the closed-form curvature.
 """
 
 from __future__ import annotations
@@ -71,34 +75,30 @@ def complex_structure(model: AmbientModel) -> np.ndarray:
     return J
 
 
+def _with_j(model: AmbientModel) -> np.ndarray:
+    """(I, J) stacked: contracted with a vector U it gives (U, JU)."""
+    return np.stack([np.eye(model.real_dim), complex_structure(model)])
+
+
 def metric(model: AmbientModel, x: Jet) -> Jet:
     """Metric components as a ``(d, d)`` jet at a chart point.
 
-    ``x`` is the chart point as a jet of shape ``(real_dim,)``.
+    ``x`` is the chart point as a jet of shape ``(real_dim,)``.  For
+    Fubini-Study, with k = 4/c and rho = 1 + |x|^2,
+
+        g = (k/rho) (I - (x x^T + Jx Jx^T) / rho),
+
+    the real form of the Hermitian components k (rho d_ab - wbar_a w_b)/rho^2.
     """
     d = model.real_dim
     if len(x) != d:
         raise ValueError(f"chart point has {len(x)} components, expected {d}")
     if model.kind == FLAT:
         return Jet.constant(np.eye(d), x.n).truncate(x.order)
-
-    # Fubini-Study: Hermitian components h_{ab} = k (rho d_ab - wbar_a w_b)/rho^2
-    # with rho = 1 + |w|^2 and k = 4/c; the real metric is g = Re h under the
-    # identification of a real tangent vector with its complex components.
-    N = model.complex_dim
-    k = 4.0 / model.c
-    wr, wi = x[0::2], x[1::2]
-    rho = 1.0 + (x * x).sum()
-    inv_rho2 = (rho * rho).reciprocal()
-    # wbar_a w_b, indexed [a, b]
-    cross_re = wr[:, None] * wr[None, :] + wi[:, None] * wi[None, :]
-    cross_im = wr[:, None] * wi[None, :] - wi[:, None] * wr[None, :]
-    s_re = (rho * np.eye(N) - cross_re) * inv_rho2 * k  # Re h_{ab}
-    s_im = -cross_im * inv_rho2 * k  # Im h_{ab}
-    # Real blocks [[Re h, Im h], [-Im h, Re h]] on the pairs (2a, 2a + 1).
-    G = stack([stack([s_re, s_im], axis=-1), stack([-s_im, s_re], axis=-1)],
-              axis=1)
-    return G.reshape(d, d)
+    V = einsum("sAB,B->sA", _with_j(model), x)  # (x, Jx)
+    inv_rho = (1.0 + (x * x).sum()).reciprocal()
+    scale = inv_rho * (4.0 / model.c)  # k/rho
+    return scale * np.eye(d) - einsum("sA,sB->AB", V * (scale * inv_rho), V)
 
 
 def christoffel_from_metric(G: Jet) -> Jet:
@@ -122,43 +122,27 @@ def christoffel(model: AmbientModel, x) -> np.ndarray:
 def connection(model: AmbientModel, x):
     """Closed-form Levi-Civita connection at chart point ``x``.
 
-    Returns a function taking vectors X, Y to the chart components of
-    Gamma(X, Y)^C = Gamma^C_{AB} X^A Y^B, or ``None`` for flat space.
-    Polymorphic over floats and jets: the point has shape ``(real_dim,)``,
-    and the vectors carry their components on the first axis and broadcast
-    against each other over the rest, so one call gives Gamma(X, Y) for
-    every pair of a batch (components first in the result too).
-    For Fubini-Study, with complex components X^a = X^{2a} + i X^{2a+1} and
-    rho = 1 + |w|^2,
+    Returns a function taking the rows of X (shape ``(p, d)``) and of Y
+    (shape ``(q, d)``) to Gamma(X_i, Y_b) for every pair, indexed
+    ``[i, b, C]``, or ``None`` for flat space.  The point and the vectors
+    may be floats or jets.  For Fubini-Study, with rho = 1 + |x|^2,
 
-        Gamma(X, Y)^a = -(X^a <wbar, Y> + Y^a <wbar, X>) / rho,
+        Gamma(X, Y) = -(<x, Y> X + <Jx, Y> JX + <x, X> Y + <Jx, X> JY) / rho,
 
-    where <wbar, Y> = sum_b wbar_b Y^b; the constant ``c`` scales the metric
-    only, so it drops out.
+    the real form of -(X^a <wbar, Y> + Y^a <wbar, X>)/rho; the constant
+    ``c`` scales the metric only, so it drops out.
     """
     if model.kind == FLAT:
         return None
-    wr, wi = x[0::2], x[1::2]
-    inv_rho = 1.0 / (1.0 + (x * x).sum())
-    # Real and imaginary parts back onto the chart components.
-    pair = np.eye(model.real_dim)
-    to_re, to_im = pair[:, 0::2], pair[:, 1::2]
-
-    def wbar_dot(vr, vi):
-        re = einsum("a,a...->...", wr, vr) + einsum("a,a...->...", wi, vi)
-        im = einsum("a,a...->...", wr, vi) - einsum("a,a...->...", wi, vr)
-        return re * inv_rho, im * inv_rho
+    IJ = _with_j(model)
+    # (x, Jx)/rho: one reciprocal serves every pair.
+    W = einsum("sAB,B->sA", IJ, x) * (1.0 / (1.0 + (x * x).sum()))
 
     def gamma(X, Y):
-        X, Y = (V if isinstance(V, Jet) else np.asarray(V, float)
-                for V in (X, Y))
-        xr, xi, yr, yi = X[0::2], X[1::2], Y[0::2], Y[1::2]
-        sx_re, sx_im = wbar_dot(xr, xi)
-        sy_re, sy_im = wbar_dot(yr, yi)
-        re = -(xr * sy_re - xi * sy_im + yr * sx_re - yi * sx_im)
-        im = -(xr * sy_im + xi * sy_re + yr * sx_im + yi * sx_re)
-        return (einsum("Aa,a...->A...", to_re, re)
-                + einsum("Aa,a...->A...", to_im, im))
+        VX = einsum("sAB,iB->siA", IJ, X)  # (X_i, JX_i)
+        VY = einsum("sAB,bB->sbA", IJ, Y)
+        return -(einsum("sA,bA,siC->ibC", W, Y, VX)
+                 + einsum("sA,iA,sbC->ibC", W, X, VY))
 
     return gamma
 
@@ -166,39 +150,35 @@ def connection(model: AmbientModel, x):
 def connection_tensor(model: AmbientModel, x) -> np.ndarray:
     """Closed-form Gamma^C_{AB} at a float chart point, indexed ``[C, A, B]``."""
     d = model.real_dim
-    gamma = connection(model, x)
-    if gamma is None:
+    if model.kind == FLAT:
         return np.zeros((d, d, d))
-    basis = np.eye(d)
-    return gamma(basis[:, :, None], basis[:, None, :])
+    x = np.asarray(x, float)
+    J = complex_structure(model)
+    # Gamma(e_A, e_B): the <x, e_B> e_A and <Jx, e_B> J e_A terms, then the
+    # same with A and B swapped.
+    half = np.einsum("CA,B->CAB", np.eye(d), x) + np.einsum("CA,B->CAB", J, J @ x)
+    return -(half + half.transpose(0, 2, 1)) / (1.0 + x @ x)
 
 
-def curvature_operator(c: float, g, J, X, Y, Z):
-    """Closed-form space-form curvature R(X, Y)Z; no differentiation.
+def curvature_operator(c: float, P, K):
+    """Closed-form space-form curvature <R(X, Y)Z, W>; no differentiation.
 
-    Polymorphic over floats and jets: ``g`` is the metric matrix (floats or
-    a jet), ``J`` the constant complex-structure matrix.  The vectors carry
-    their components on the last axis and broadcast against each other over
-    the leading axes, so one call covers a whole batch of (X, Y, Z).
-    Returns the components of R(X, Y)Z, on the last axis.
+    Takes the pairings of the four slots V = (X, Y, Z, W) only:
+    ``P[s, t]`` = <V_s, V_t> and ``K[s, t]`` = <J V_s, V_t> for slots
+    s, t in 0..3, as anything indexed by slot pairs (an array with the slot
+    axes first, or a dict keyed by the pairs).  The entries may be floats or
+    jets that broadcast against each other, and the result is their
+    broadcast; only elementwise arithmetic is used.
+
+        <R(X, Y)Z, W> = c/4 (<Y, Z><X, W> - <X, Z><Y, W> + <JY, Z><JX, W>
+                             - <JX, Z><JY, W> + 2 <JY, X><JZ, W>)
     """
-    X, Y, Z = (v if isinstance(v, Jet) else np.asarray(v, float)
-               for v in (X, Y, Z))
-
-    def apply(M, V):  # M V over the components
-        return einsum("AB,...B->...A", M, V)
-
-    def dot(U, V):  # U . V over the components, kept as a length-1 axis
-        return einsum("...A,...A->...", U, V)[..., None]
-
-    JX, JY, JZ = apply(J, X), apply(J, Y), apply(J, Z)
-    Z_low = apply(g, Z)
     return (
-        dot(Y, Z_low) * X
-        - dot(X, Z_low) * Y
-        + dot(JY, Z_low) * JX
-        - dot(JX, Z_low) * JY
-        + dot(X, apply(g, JY)) * 2.0 * JZ
+        P[1, 2] * P[0, 3]
+        - P[0, 2] * P[1, 3]
+        + K[1, 2] * K[0, 3]
+        - K[0, 2] * K[1, 3]
+        + K[1, 0] * K[2, 3] * 2.0
     ) * (c / 4.0)
 
 
@@ -216,15 +196,18 @@ def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
 
 
 def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
-    """Closed-form curvature contracted over the chart basis, as R^D_{CAB}."""
+    """Closed-form curvature over the chart basis, as R^D_{CAB}."""
     d = model.real_dim
     g = jet_values(metric(model, seed_point(x)))
-    J = complex_structure(model)
-    basis = np.eye(d)
-    # R(e_A, e_B) e_C on axes [A, B, C, D], reordered to R^D_{CAB}.
-    R = curvature_operator(model.c, g, J, basis[:, None, None],
-                           basis[None, :, None], basis[None, None, :])
-    return R.transpose(3, 2, 0, 1)
+    Kg = complex_structure(model).T @ g  # <J e_A, e_B>
+    # Slot s runs over the basis on axis s of [A, B, C, E].
+    ix = np.ix_(*[np.arange(d)] * 4)
+    pairs = [(s, t) for s in range(4) for t in range(4)]
+    P = {st: g[ix[st[0]], ix[st[1]]] for st in pairs}
+    K = {st: Kg[ix[st[0]], ix[st[1]]] for st in pairs}
+    # <R(e_A, e_B) e_C, e_E>, the last index raised.
+    return np.einsum("DE,ABCE->DCAB", np.linalg.inv(g),
+                     curvature_operator(model.c, P, K))
 
 
 def holomorphic_sectional_curvature(model: AmbientModel, x, X) -> float:

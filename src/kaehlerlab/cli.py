@@ -106,19 +106,19 @@ def scrambled_halton(dim: int, n_points: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     unit = np.empty((n_points, dim))
+    k = np.arange(n_points)[:, None]
     for q, base in enumerate(_primes(dim)):
         n_digits = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], n_digits, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        x = np.zeros(n_points)
-        rest = np.arange(n_points)
-        weight = 1.0 / base
-        for perm in perms:
-            rest, digit = np.divmod(rest, base)
-            x += perm[digit] * weight
-            weight /= base
-        unit[:, q] = x
+        j = np.arange(n_digits)
+        # Row j is digit j's permutation; the rows are shuffled one after
+        # another, as ``rng.shuffle`` on each row in turn would.
+        perms = rng.permuted(np.repeat(np.arange(base)[None], n_digits, axis=0),
+                             axis=1)
+        digits = k // base ** j % base  # [point, j]
+        # Weights base^-(j+1) by repeated division and a running sum from the
+        # first digit: the rounding of the digit-by-digit loop.
+        weights = np.divide.accumulate(np.r_[1.0, np.full(n_digits, base)])[1:]
+        unit[:, q] = np.add.accumulate(perms[j, digits] * weights, axis=1)[:, -1]
     return unit
 
 

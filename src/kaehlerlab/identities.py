@@ -88,35 +88,37 @@ class _Evaluator:
         G[:self.nu, :self.nu], G[self.nu:, self.nu:] = d.g, np.eye(self.p)
         J[:self.nu, :self.nu], J[self.nu:, self.nu:] = d.J_tan, d.J_nor
         self._forms = np.stack([G, J.T @ G])  # <U, V> and <JU, V>
+        self._chart_forms = np.stack([d.g_amb, d.J_amb.T @ d.g_amb])
 
     def _inner_tan(self, U, V) -> np.ndarray:
         return np.einsum("qi,ij,qj->q", U, self.d.g, V)
+
+    def _closed_form_r(self, V, forms) -> np.ndarray:
+        """Closed-form ambient <R(V_0, V_1)V_2, V_3> from the slot vectors
+        ``V[s, ..., n]``, with ``forms`` the forms <U, V> and <JU, V> on
+        their components."""
+        P, K = (np.einsum("s...n,t...n->st...", V @ f, V) for f in forms)
+        return curvature_operator(self.d.c, P, K)
 
     # Closed-form ambient curvature <R(X, Y)Z, W> with each slot tangent
     # ("t") or normal ("n"), written in adapted-frame components.
     def _amb_r(self, slots, X, Y, Z, W) -> np.ndarray:
         part = {"t": slice(None, self.nu), "n": slice(self.nu, None)}
-        V = np.zeros((len(X), 4, self.nu + self.p))
+        V = np.zeros((4, len(X), self.nu + self.p))
         for s, (kind, vec) in enumerate(zip(slots, (X, Y, Z, W))):
-            V[:, s, part[kind]] = vec
-        P, K = np.einsum("qan,knm,qbm->kabq", V, self._forms, V)
-        val = (
-            P[1, 2] * P[0, 3]
-            - P[0, 2] * P[1, 3]
-            + K[1, 2] * K[0, 3]
-            - K[0, 2] * K[1, 3]
-            + 2.0 * K[1, 0] * K[2, 3]
-        )
-        return self.d.c / 4.0 * val
+            V[s, :, part[kind]] = vec
+        return self._closed_form_r(V, self._forms)
 
     def _amb_r_normal_part(self, X, Y, Z) -> np.ndarray:
-        """Normal components of the closed-form ambient R(X, Y)Z."""
+        """Normal components of the closed-form ambient R(X, Y)Z, indexed
+        ``[q, a]``."""
         # Taken in chart components: in the adapted frame every term of the
         # closed form pairs across slot kinds here, so it would read 0 by
         # construction whatever the frames.
         d = self.d
-        R = curvature_operator(d.c, d.g_amb, d.J_amb, X @ d.T, Y @ d.T, Z @ d.T)
-        return R @ d.g_amb @ d.N.T
+        V = np.broadcast_arrays(*[(U @ d.T)[:, None] for U in (X, Y, Z)],
+                                d.N[None])
+        return self._closed_form_r(np.stack(V), self._chart_forms)
 
     def _nabla_A_op(self, Z, xi) -> np.ndarray:
         """Matrices of (nabla_Z A)_xi acting on tangent coefficient vectors."""

@@ -321,6 +321,18 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def _unit_series(self, coefs) -> "Jet":
+        """sum_k coefs[k] e^k with e = self / a0 - 1 (a0 the value), through
+        this jet's order: e has no constant term, so its higher powers
+        vanish and are not formed."""
+        e = Jet._wrap(self.n, self.c / self.c[..., :1])
+        e.c[..., 0] = 0.0
+        series, power = e * coefs[1] + coefs[0], e
+        for coef in coefs[2:self.order + 1]:
+            power = power * e
+            series = series + power * coef
+        return series
+
     def reciprocal(self) -> "Jet":
         a0 = self.c[..., :1]
         if np.any(np.abs(a0) < DIVISION_FLOOR):
@@ -328,12 +340,8 @@ class Jet:
                 f"jet reciprocal: constant term below floor {DIVISION_FLOOR}"
                 f" (smallest {np.abs(a0).min()!r})"
             )
-        # 1/(a0 (1 + e)) with e nilpotent: geometric series through degree 3
-        # (the terms past this jet's order vanish).
-        e = Jet._wrap(self.n, self.c / a0)
-        e.c[..., 0] = 0.0
-        e2 = e * e
-        return (1.0 - e + e2 - e2 * e) * (1.0 / a0[..., 0])
+        # 1/(a0 (1 + e)) with e nilpotent: the geometric series.
+        return self._unit_series((1.0, -1.0, 1.0, -1.0)) * (1.0 / a0[..., 0])
 
     def __truediv__(self, other):
         if _is_float(other):
@@ -355,11 +363,8 @@ class Jet:
                 f"jet sqrt requires a positive constant term, got "
                 f"{a0.min()!r}"
             )
-        e = Jet._wrap(self.n, self.c / a0)
-        e.c[..., 0] = 0.0
-        e2 = e * e
-        series = 1.0 + e * 0.5 - e2 * 0.125 + e2 * e * 0.0625
-        return series * np.sqrt(a0[..., 0])
+        # sqrt(a0 (1 + e)) with e nilpotent: the binomial series.
+        return self._unit_series((1.0, 0.5, -0.125, 0.0625)) * np.sqrt(a0[..., 0])
 
     # -- calculus ----------------------------------------------------------
 
@@ -629,8 +634,9 @@ def jet_matrix_inverse(mat: Jet) -> Jet:
     """Inverse of a square matrix of jets by the truncated Neumann series.
 
     With G0 the value matrix and E = G - G0 its nilpotent part (no constant
-    term, so E^4 = 0 at every order up to 3), the inverse is exactly
-    (G0 + E)^-1 = sum_{k<=3} (-G0^-1 E)^k G0^-1.  Raises
+    term, so E^(k+1) = 0 at order k), the inverse is exactly
+    (G0 + E)^-1 = sum_{j<=k} (-G0^-1 E)^j G0^-1, summed only through the
+    matrix's own order k.  Raises
     ``ZeroDivisionError`` when G0 is singular.
     """
     d = mat.shape[0] if mat.ndim else 0
@@ -643,7 +649,7 @@ def jet_matrix_inverse(mat: Jet) -> Jet:
     step = einsum("ij,jk->ik", -inv0, mat - g0)  # -G0^-1 E
     eye = np.eye(d)
     series = step + eye
-    for _ in range(MAX_DEGREE - 1):
+    for _ in range(mat.order - 1):
         series = einsum("ij,jk->ik", step, series) + eye
     return einsum("ij,jk->ik", series, inv0)
 

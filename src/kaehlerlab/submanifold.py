@@ -14,10 +14,11 @@ of F(u), so no ambient chart derivative is taken.  Each jet tensor is one
 array-valued ``Jet``, built by broadcasting arithmetic and ``jets.einsum``.
 Each jet carries only the order its consumers read, since a derivative
 lowers the order by one and mixed-order arithmetic truncates to the lower
-order: F is order 3; the ambient metric and connection (evaluated on F
-truncated to order 2), T, g, g^-1, N and J in both frames are order 2;
-Gamma, b_vec, b, A, gamma_perp and the curvature jets (rp1, r2, bb and
-the ambient curvature term) are order 1.
+order: F is order 3; the ambient metric (evaluated on F truncated to
+order 2), T, g, g^-1, N and J in both frames are order 2; the ambient
+connection (on F truncated to order 1), Gamma, b_vec, b, A, gamma_perp,
+the Gram jet of the frames and the curvature jets (rp1, r2, bb and the
+ambient curvature term) are order 1.
 Quantities whose derivative we take downstream are kept as jets; everything
 else is read off their coefficients (``jet_values``, ``jet_gradient``) and
 assembled with float array algebra, every covariant derivative through
@@ -297,12 +298,12 @@ class PointGeometry:
 
     def _build_ambient_along_immersion(self):
         self.F = self.case.map_jets(self.u)
-        # Every use of the ambient metric and connection also involves the
-        # tangent frame (order 2) or what is derived from it, so they are
-        # needed to order 2 only.
-        F2 = self.F.truncate(2)
-        self.g_amb_jet = amb.metric(self.case.ambient, F2)
-        self.connection_amb = amb.connection(self.case.ambient, F2)
+        # Every use of the ambient metric also involves the tangent frame
+        # (order 2) or what is derived from it, so it is needed to order 2
+        # only; the connection enters only beside first partials (order 1).
+        self.g_amb_jet = amb.metric(self.case.ambient, self.F.truncate(2))
+        self.connection_amb = amb.connection(self.case.ambient,
+                                             self.F.truncate(1))
         self.gamma_amb = amb.connection_tensor(self.case.ambient,
                                                jet_values(self.F))
 
@@ -311,11 +312,8 @@ class PointGeometry:
         (chart components) along each d/du^i, indexed ``[i, b, A]``."""
         out = jet_partials(V)
         if self.connection_amb is not None:
-            # Components lead, so one call covers every (d/du^i, V_b) pair,
-            # at the order the partials leave.
-            T, V = self.T_jet.truncate(out.order), V.truncate(out.order)
-            gam = self.connection_amb(T.T[:, :, None], V.T[:, None, :])
-            out = out + gam.transpose(1, 2, 0)
+            # One call covers every (d/du^i, V_b) pair.
+            out = out + self.connection_amb(self.T_jet, V)
         return out
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
@@ -397,6 +395,14 @@ class PointGeometry:
             )
         self.J_nor_jet = einsum("AB,bB,aA->ab", self.J_amb, self.N_jet,
                                 self.N_low)
+        if self.c != 0.0:
+            # Gram jet <(T, JT)_i, (T, N)_x>: every pairing the closed-form
+            # ambient curvature reads (see ``_ambient_curvature``).
+            frame_low = Jet.constant(np.zeros((self.nu + 2 * self.l, self.d)),
+                                     self.nu).truncate(1)
+            frame_low[:self.nu], frame_low[self.nu:] = self.T_low, self.N_low
+            self.gram_jet = einsum("siA,xA->six", stack([self.T_jet, JT.T]),
+                                   frame_low)
 
     # -- second fundamental form and shape operators --------------------------
 
@@ -449,24 +455,25 @@ class PointGeometry:
 
     # -- ambient curvature ------------------------------------------------------
 
-    def _ambient_curvature(self, Z: Jet, W_low: Jet) -> Jet:
-        """Closed-form <R(d/du^i, d/du^j) Z_a, W_b> as jets, indexed
-        ``[i, j, a, b]``, from chart-component vectors ``Z`` and lowered
-        ``W_low``.  R is antisymmetric in (i, j), so one operator call covers
-        the pairs i < j, broadcast against every Z_a.  Only its value and
-        first partials are read, so it runs on order-1 jets."""
+    def _ambient_curvature(self, normal: bool) -> Jet:
+        """Closed-form <R(d/du^i, d/du^j) Z_a, W_b> as order-1 jets, indexed
+        ``[i, j, a, b]``, with Z, W the normal frame (``normal``, the Ricci
+        term) or the tangent frame (the Gauss term).  Each slot pairing is
+        an entry of the Gram jet, broadcast onto the axes of its two slots,
+        except <J n_a, n_b> = J_nor[b, a]."""
         nu = self.nu
-        upper, lower = np.triu_indices(nu, 1)
-        T = self.T_jet.truncate(1)
-        RZ = amb.curvature_operator(
-            self.c, self.g_amb_jet.truncate(1), self.J_amb, T[upper][:, None],
-            T[lower][:, None], Z.truncate(1)[None])
-        half = einsum("paA,bA->pab", RZ, W_low)
-        out = Jet.constant(np.zeros((nu, nu, len(Z), len(W_low))),
-                           nu).truncate(1)
-        out[upper, lower] = half
-        out[lower, upper] = -half
-        return out
+        zw = slice(nu, None) if normal else slice(None, nu)
+        gram_P, gram_K = self.gram_jet
+
+        def cross(M):  # pairings of the slots X, Y with Z, W
+            M = M[:, zw]
+            return {(1, 2): M[None, :, :, None], (0, 3): M[:, None, None, :],
+                    (0, 2): M[:, None, :, None], (1, 3): M[None, :, None, :]}
+
+        P, K = cross(gram_P), cross(gram_K)
+        K[1, 0] = gram_K[:, :nu].T[:, :, None, None]
+        K[2, 3] = (self.J_nor_jet.T if normal else gram_K[:, :nu])[None, None]
+        return amb.curvature_operator(self.c, P, K)
 
     # -- normal curvature -------------------------------------------------------
 
@@ -481,7 +488,7 @@ class PointGeometry:
         rp1 = einsum("abki,kj->ijab", AA - AA.transpose(1, 0, 2, 3),
                      self.g_jet)
         if self.c != 0.0:
-            rp1 = rp1 + self._ambient_curvature(self.N_jet, self.N_low)
+            rp1 = rp1 + self._ambient_curvature(normal=True)
         rp1_val = jet_values(rp1)
 
         # Route 2: curvature of the normal connection coefficients,
@@ -515,7 +522,7 @@ class PointGeometry:
                     self.b_vec_jet)
         r2 = bb.transpose(0, 1, 3, 2) - bb
         if self.c != 0.0:
-            r2 = r2 + self._ambient_curvature(self.T_jet, self.T_low)
+            r2 = r2 + self._ambient_curvature(normal=False)
         r2_val = jet_values(r2)
         self._gate("two_path_r", r1, r2_val)
         self.r = r1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kaehlerlab import ambient as amb
-from kaehlerlab.jets import jet_values, multi_indices, seed_point
+from kaehlerlab.jets import jet_values, multi_indices, seed_point, stack
 
 MODELS = [
     amb.flat(2),
@@ -23,6 +23,32 @@ CONNECTION_MODELS = [amb.flat(2), amb.flat(3)] + [
 def random_points(model, n, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, size=(n, model.real_dim))
+
+
+def slot_pairings(g, J, V):
+    """P[s, t] = <V_s, V_t> and K[s, t] = <J V_s, V_t> of the slot vectors
+    ``V[s, ..., A]``, the input of ``curvature_operator``."""
+    V = np.asarray(V, float)
+    return (np.einsum("s...A,AB,t...B->st...", V, g, V),
+            np.einsum("s...A,AB,t...B->st...", V @ J.T, g, V))
+
+
+def hermitian_metric(model, x):
+    """Fubini-Study from its Hermitian components
+    h_ab = k (rho d_ab - wbar_a w_b)/rho^2 (k = 4/c, rho = 1 + |w|^2), split
+    into the real blocks [[Re h, Im h], [-Im h, Re h]]: the reference for
+    the rank-two form of ``ambient.metric``."""
+    N = model.complex_dim
+    wr, wi = x[0::2], x[1::2]
+    rho = 1.0 + (x * x).sum()
+    scale = (rho * rho).reciprocal() * (4.0 / model.c)
+    cross_re = wr[:, None] * wr[None, :] + wi[:, None] * wi[None, :]
+    cross_im = wr[:, None] * wi[None, :] - wi[:, None] * wr[None, :]
+    s_re = (rho * np.eye(N) - cross_re) * scale
+    s_im = -cross_im * scale
+    G = stack([stack([s_re, s_im], axis=-1), stack([-s_im, s_re], axis=-1)],
+              axis=1)
+    return G.reshape(2 * N, 2 * N)
 
 
 class TestMetricValues:
@@ -48,6 +74,18 @@ class TestMetricValues:
                 g = jet_values(amb.metric(model, seed_point(x)))
                 assert np.allclose(g, g.T, atol=1e-14)
                 assert np.linalg.eigvalsh(g).min() > 0
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_rank_two_form_matches_hermitian_components(self, N):
+        # Values and every partial through order 3.
+        for c in (1.0, 4.0):
+            model = amb.fubini_study(c, N)
+            for x in random_points(model, 5, 43):
+                want = hermitian_metric(model, seed_point(x)).c
+                got = amb.metric(model, seed_point(x)).c
+                assert got.shape == want.shape
+                assert (np.abs(got - want).max()
+                        / (1.0 + np.abs(want).max())) <= 1e-12
 
     def test_bad_point_length(self):
         with pytest.raises(ValueError):
@@ -112,13 +150,9 @@ class TestConnection:
             for x in random_points(model, 2, 41):
                 seeds = seed_point(x)
                 want = amb.christoffel(model, seeds)
-                gamma = amb.connection(model, seeds)
-                for A in range(d):
-                    for B in range(d):
-                        got = gamma(list(basis[A]), list(basis[B]))
-                        for C in range(d):
-                            diff = got[C].c[:n2] - want[C, A, B].c[:n2]
-                            assert np.abs(diff).max() <= 1e-12
+                got = amb.connection(model, seeds)(basis, basis)  # [A, B, C]
+                diff = got.c[..., :n2] - want.transpose(1, 2, 0).c[..., :n2]
+                assert np.abs(diff).max() <= 1e-12
 
     def test_metric_compatibility(self):
         model = amb.fubini_study(4.0, 2)
@@ -146,14 +180,17 @@ class TestCurvature:
     def test_flat_closed_form_zero(self):
         model = amb.flat(2)
         g = jet_values(amb.metric(model, seed_point([0.1, 0.2, 0.3, 0.4])))
+        basis = np.eye(4)
+        # <R(e_0, e_1) e_2, W> for every basis vector W.
+        V = np.stack(np.broadcast_arrays(basis[0], basis[1], basis[2], basis))
         out = amb.curvature_operator(
-            model.c, g, amb.complex_structure(model), [1, 0, 0, 0],
-            [0, 1, 0, 0], [0, 0, 1, 0],
-        )
+            model.c, *slot_pairings(g, amb.complex_structure(model), V))
+        assert out.shape == (4,)
         assert np.abs(out).max() == 0.0
 
     def test_holomorphic_plane_closed_form(self):
-        # Substituting Y = JX, Z = JX into the closed form yields c X.
+        # Substituting Y = JX, Z = JX into the closed form yields c |X|^2 X,
+        # so <R(X, JX)JX, W> = c |X|^2 <X, W> for every W.
         model = amb.fubini_study(4.0, 2)
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -162,11 +199,10 @@ class TestCurvature:
             J = amb.complex_structure(model)
             g = jet_values(amb.metric(model, seed_point(x)))
             JX = J @ X
-            out = amb.curvature_operator(
-                model.c, g, J, list(X), list(JX), list(JX)
-            )
+            V = np.stack(np.broadcast_arrays(X, JX, JX, np.eye(4)))
+            out = amb.curvature_operator(model.c, *slot_pairings(g, J, V))
             norm2 = X @ g @ X
-            assert np.allclose(out, model.c * norm2 * X, atol=1e-12)
+            assert np.allclose(out, model.c * norm2 * (g @ X), atol=1e-12)
 
     def test_two_paths_agree(self):
         for model in MODELS:

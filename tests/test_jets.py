@@ -600,6 +600,25 @@ class TestOrders:
                 assert np.array_equal(partials.c[(i,) + idx], want)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4]), st.integers(1, 3), st.data())
+    def test_series_stop_at_the_jets_order(self, n, d, data):
+        # The reciprocal, the square root and the matrix inverse form only
+        # the terms their order holds.  The terms left out are exactly 0,
+        # so the results at orders 1 and 2 are the order-3 results
+        # truncated, bit for bit.
+        mat = _float_jets(data.draw, n, (d, d)) + 10.0 * np.eye(d)
+        pos = _float_jets(data.draw, n, (d,))
+        pos.c[..., 0] = np.abs(pos.c[..., 0]) + 0.5
+        for op in (jet_matrix_inverse, Jet.reciprocal, Jet.sqrt):
+            arg = mat if op is jet_matrix_inverse else pos
+            full = op(arg)
+            for k in (1, 2):
+                got = op(arg.truncate(k))
+                assert got.order == k
+                assert np.array_equal(got.c, full.truncate(k).c)
+
+
 class TestOrderErrors:
     @pytest.mark.parametrize("op", [
         jet_gradient,

@@ -7,7 +7,13 @@ from kaehlerlab import ambient as amb
 from kaehlerlab import identities as ids
 from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
-from kaehlerlab.jets import jet_values, seed_point
+from kaehlerlab.jets import (
+    Jet,
+    einsum,
+    jet_gradient,
+    jet_values,
+    seed_point,
+)
 
 
 def data_at(name, u, **kw):
@@ -171,24 +177,70 @@ SEGRE = sm.ImmersionCase(
 )
 
 
+def _vector_curvature(c, g, J, X, Y, Z):
+    """The space-form curvature R(X, Y)Z as a vector (components on the last
+    axis, broadcast over the leading ones), on floats or jets: a reference
+    for the pairing form of ``ambient.curvature_operator``."""
+    X, Y, Z = (v if isinstance(v, Jet) else np.asarray(v, float)
+               for v in (X, Y, Z))
+
+    def apply(M, V):
+        return einsum("AB,...B->...A", M, V)
+
+    def dot(U, V):
+        return einsum("...A,...A->...", U, V)[..., None]
+
+    JX, JY, JZ = apply(J, X), apply(J, Y), apply(J, Z)
+    Z_low = apply(g, Z)
+    return (
+        dot(Y, Z_low) * X
+        - dot(X, Z_low) * Y
+        + dot(JY, Z_low) * JX
+        - dot(JX, Z_low) * JY
+        + dot(X, apply(g, JY)) * 2.0 * JZ
+    ) * (c / 4.0)
+
+
+CURVED = [
+    (sm.get_case("veronese_cp2"), [0.3, -0.6]),
+    (SEGRE, [0.3, -0.2, 0.1, 0.4]),
+]
+
+
 class TestAmbientCurvatureTerm:
-    @pytest.mark.parametrize("case, u", [
-        (sm.get_case("veronese_cp2"), [0.3, -0.6]),
-        (SEGRE, [0.3, -0.2, 0.1, 0.4]),
-    ])
+    @pytest.mark.parametrize("case, u", CURVED)
     def test_matches_closed_form_tensor(self, case, u):
         # The c != 0 term of both curvature routes, <R(d_i, d_j) Z, W> with
         # Z, W normal (rp1) or tangent (r2), against the float closed form
-        # over the chart basis; covers the (i, j) antisymmetric fill.
+        # over the chart basis.
         geo = sm.PointGeometry(case, u)
         R = amb.curvature_closed_form_tensor(case.ambient, case.map_values(u))
         T, g_amb = jet_values(geo.T_jet), jet_values(geo.g_amb_jet)
-        for Z_jet, Z_low in ((geo.N_jet, geo.N_low), (geo.T_jet, geo.T_low)):
+        for normal, Z_jet in ((True, geo.N_jet), (False, geo.T_jet)):
             Z = jet_values(Z_jet)
             want = np.einsum("DCAB,iA,jB,aC,DE,bE->ijab", R, T, T, Z, g_amb, Z)
-            got = jet_values(geo._ambient_curvature(Z_jet, Z_low))
+            got = jet_values(geo._ambient_curvature(normal))
             assert np.abs(want).max() >= 0.1
             assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("case, u", CURVED)
+    def test_jets_match_vector_operator(self, case, u):
+        # Values and first partials (which feed nabla_r_perp and the nabla_r
+        # gate) of the pairing form on the Gram jet, against the vector
+        # operator contracted with the lowered frame.
+        geo = sm.PointGeometry(case, u)
+        T = geo.T_jet.truncate(1)
+        for normal, Z, W_low in ((True, geo.N_jet, geo.N_low),
+                                 (False, geo.T_jet, geo.T_low)):
+            RZ = _vector_curvature(
+                case.ambient.c, geo.g_amb_jet.truncate(1), geo.J_amb,
+                T[:, None, None], T[None, :, None], Z.truncate(1)[None, None])
+            want = einsum("ijaA,bA->ijab", RZ, W_low)
+            got = geo._ambient_curvature(normal)
+            assert got.order == want.order == 1
+            for part in (jet_values, jet_gradient):
+                assert np.abs(part(want)).max() >= 0.1
+                assert np.abs(part(got) - part(want)).max() <= 1e-12
 
 
 class TestJetOrders:
@@ -212,7 +264,9 @@ class TestJetOrders:
         assert {name: getattr(geo, name).order for name in self.ORDERS} \
             == self.ORDERS
         if case.ambient.c != 0.0:
-            assert geo._ambient_curvature(geo.N_jet, geo.N_low).order == 1
+            assert geo.gram_jet.order == 1
+            for normal in (True, False):
+                assert geo._ambient_curvature(normal).order == 1
 
 
 class TestSurfaceInCurvedAmbient:
