@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ambient import curvature_operator
-from .submanifold import ExtrinsicData, normalized_residual
+from .submanifold import (ExtrinsicData, covariant_derivative,
+                          normalized_residual)
 
 
 @dataclass(frozen=True)
@@ -67,19 +68,22 @@ REGISTRY_BY_ID = {chk.identity_id: chk for chk in REGISTRY}
 
 
 class _Evaluator:
-    """All identities over one data package, on a batch of tuples per call.
+    """All identities over one data package and one batch of tuples.
 
     Tangent vectors are coefficient arrays over the coordinate frame,
     normal vectors coefficient arrays over the orthonormal normal frame.
-    Each check takes X, Y, Z, W of shape (Q, 2m) and xi, eta of shape
-    (Q, 2l), one tuple per row, and returns its two sides with the tuple
-    axis first.
+    The tuples are X, Y, Z, W of shape (Q, 2m) and xi, eta of shape
+    (Q, 2l), one tuple per row; each check returns its two sides with the
+    tuple axis first.  Contractions that several checks read are made once,
+    here.
     """
 
-    def __init__(self, data: ExtrinsicData):
+    def __init__(self, data: ExtrinsicData, tuples):
         d = self.d = data
         self.nu = 2 * data.m
         self.p = 2 * data.l
+        self.X, self.Y, self.Z, self.W, self.xi, self.eta = tuples
+        self.Q = len(self.X)
         # The adapted frame: tangent components first, then normal ones.
         # The bundles are orthogonal, so the metric and J are block diagonal
         # and every pairing across slot kinds vanishes.
@@ -89,9 +93,25 @@ class _Evaluator:
         J[:self.nu, :self.nu], J[self.nu:, self.nu:] = d.J_tan, d.J_nor
         self._forms = np.stack([G, J.T @ G])  # <U, V> and <JU, V>
         self._chart_forms = np.stack([d.g_amb, d.J_amb.T @ d.g_amb])
+        # b and nabla b with the normal index last, so that their tangent
+        # slots lead, as ``_contract`` needs.
+        self._b = d.b.transpose(1, 2, 0)
+        self._nb = d.nabla_b.transpose(0, 2, 3, 1)
+        self.JZ = self.Z @ d.J_tan.T
+        self.Jxi = self.xi @ d.J_nor.T
+        self.A_xi = _contract(d.A, self.xi)
+        self.A_eta = _contract(d.A, self.eta)
+        self.nA_xi = self._nabla_A_op(self.Z, self.xi)
+        self.nA_Jxi = self._nabla_A_op(self.Z, self.Jxi)
+        self.nb_XYZ = _contract(self._nb, self.X, self.Y, self.Z)
+        self.nb_YXZ = _contract(self._nb, self.Y, self.X, self.Z)
+        # [q, b, a] = (nabla_Z R_perp)(X, Y)^b_a, as matrices acting on xi.
+        self.nrp_ZXY = _contract(d.nabla_r_perp, self.Z, self.X,
+                                 self.Y).swapaxes(1, 2)
+        self.amb_r_normal = self._amb_r_normal_part(self.X, self.Y, self.Z)
 
     def _inner_tan(self, U, V) -> np.ndarray:
-        return np.einsum("qi,ij,qj->q", U, self.d.g, V)
+        return _dot(U @ self.d.g, V)
 
     def _closed_form_r(self, V, forms) -> np.ndarray:
         """Closed-form ambient <R(V_0, V_1)V_2, V_3> from the slot vectors
@@ -104,7 +124,7 @@ class _Evaluator:
     # ("t") or normal ("n"), written in adapted-frame components.
     def _amb_r(self, slots, X, Y, Z, W) -> np.ndarray:
         part = {"t": slice(None, self.nu), "n": slice(self.nu, None)}
-        V = np.zeros((4, len(X), self.nu + self.p))
+        V = np.zeros((4, self.Q, self.nu + self.p))
         for s, (kind, vec) in enumerate(zip(slots, (X, Y, Z, W))):
             V[s, :, part[kind]] = vec
         return self._closed_form_r(V, self._forms)
@@ -122,269 +142,236 @@ class _Evaluator:
 
     def _nabla_A_op(self, Z, xi) -> np.ndarray:
         """Matrices of (nabla_Z A)_xi acting on tangent coefficient vectors."""
-        return np.einsum("sakj,qs,qa->qkj", self.d.nabla_A, Z, xi)
+        return _contract(self.d.nabla_A, Z, xi)
 
-    def _A_op(self, xi) -> np.ndarray:
-        return np.einsum("akj,qa->qkj", self.d.A, xi)
-
-    @staticmethod
-    def _each(Q, lhs, rhs):
+    def _each(self, lhs, rhs):
         """A pair of sides that does not depend on the tuples, once per tuple."""
-        return (np.broadcast_to(lhs, (Q,) + np.shape(lhs)),
-                np.broadcast_to(rhs, (Q,) + np.shape(rhs)))
+        return (np.broadcast_to(lhs, (self.Q,) + np.shape(lhs)),
+                np.broadcast_to(rhs, (self.Q,) + np.shape(rhs)))
 
     # -- fundamental equations ------------------------------------------------
 
-    def eq_1_3_gauss(self, X, Y, Z, W, xi, eta):
-        d = self.d
+    def eq_1_3_gauss(self):
+        X, Y, Z, W, b = self.X, self.Y, self.Z, self.W, self._b
         lhs = self._amb_r("tttt", X, Y, Z, W)
-        r = np.einsum("ijkl,qi,qj,qk,ql->q", d.r, X, Y, Z, W)
-        bXZ = np.einsum("aij,qi,qj->qa", d.b, X, Z)
-        bYW = np.einsum("aij,qi,qj->qa", d.b, Y, W)
-        bXW = np.einsum("aij,qi,qj->qa", d.b, X, W)
-        bYZ = np.einsum("aij,qi,qj->qa", d.b, Y, Z)
-        rhs = r + _dot(bXZ, bYW) - _dot(bXW, bYZ)
+        rhs = (_contract(self.d.r, X, Y, Z, W)
+               + _dot(_contract(b, X, Z), _contract(b, Y, W))
+               - _dot(_contract(b, X, W), _contract(b, Y, Z)))
         return lhs[:, None], rhs[:, None]
 
-    def eq_1_4_codazzi(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = self._amb_r_normal_part(X, Y, Z)
-        rhs = (
-            np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, X, Y, Z)
-            - np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, Y, X, Z)
-        )
-        return lhs, rhs
+    def eq_1_4_codazzi(self):
+        return self.amb_r_normal, self.nb_XYZ - self.nb_YXZ
 
-    def eq_1_4_ambient_projection(self, X, Y, Z, W, xi, eta):
-        lhs = self._amb_r_normal_part(X, Y, Z)
-        return lhs, np.zeros_like(lhs)
+    def eq_1_4_ambient_projection(self):
+        return self.amb_r_normal, np.zeros_like(self.amb_r_normal)
 
-    def eq_2_10_codazzi_symmetry(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, X, Y, Z)
-        rhs = np.einsum("iajk,qj,qi,qk->qa", d.nabla_b, X, Y, Z)
-        return lhs, rhs
+    def eq_2_10_codazzi_symmetry(self):
+        return self.nb_XYZ, self.nb_YXZ
 
-    def eq_1_5_ricci(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = self._amb_r("ttnn", X, Y, xi, eta)
-        rp = np.einsum("ijab,qi,qj,qa,qb->q", d.r_perp, X, Y, xi, eta)
-        Axi = self._A_op(xi)
-        Aeta = self._A_op(eta)
-        comm = _apply(Axi @ Aeta - Aeta @ Axi, X)
-        rhs = rp - self._inner_tan(comm, Y)
+    def eq_1_5_ricci(self):
+        X, Y, Axi, Aeta = self.X, self.Y, self.A_xi, self.A_eta
+        lhs = self._amb_r("ttnn", X, Y, self.xi, self.eta)
+        rhs = (_contract(self.d.r_perp, X, Y, self.xi, self.eta)
+               - self._inner_tan(_apply(Axi @ Aeta - Aeta @ Axi, X), Y))
         return lhs[:, None], rhs[:, None]
 
     # -- Kaehler conditions of the ambient ------------------------------------
 
-    def eq_1_10_hermitian(self, X, Y, Z, W, xi, eta):
+    def eq_1_10_hermitian(self):
         d = self.d
         J = d.J_amb
         lhs = J.T @ d.g_amb @ J
-        return self._each(len(X), lhs, d.g_amb)
+        return self._each(lhs, d.g_amb)
 
-    def eq_1_11_parallel_j(self, X, Y, Z, W, xi, eta):
+    def eq_1_11_parallel_j(self):
         d = self.d
         J = d.J_amb
         # J is chart-constant, so parallel J reduces to Gamma J = J Gamma
         # slotwise: Gamma^D_{AB} J^B_C - J^D_B Gamma^B_{AC} = 0.
         lhs = np.einsum("dab,bc->dac", d.gamma_amb, J)
         rhs = np.einsum("db,bac->dac", J, d.gamma_amb)
-        return self._each(len(X), lhs, rhs)
+        return self._each(lhs, rhs)
 
     # -- duality and J-compatibility on the submanifold ------------------------
 
-    def eq_2_1_duality(self, X, Y, Z, W, xi, eta):
+    def eq_2_1_duality(self):
         # g((nabla_Z A)_xi X, Y) = <(nabla_Z b)(X, Y), xi>, with the right
         # side assembled from raw ingredients (db, gamma, gamma_perp, b)
         # rather than the precomputed derivative of b.
         d = self.d
-        lhs = self._inner_tan(_apply(self._nabla_A_op(Z, xi), X), Y)
+        lhs = self._inner_tan(_apply(self.nA_xi, self.X), self.Y)
         nb = (
-            d.db
-            - np.einsum("tij,atk->iajk", d.gamma, d.b)
-            - np.einsum("tik,ajt->iajk", d.gamma, d.b)
-            + np.einsum("aci,cjk->iajk", d.gamma_perp, d.b)
+            d.db.transpose(0, 2, 3, 1)
+            - np.einsum("tij,atk->ijka", d.gamma, d.b)
+            - np.einsum("tik,ajt->ijka", d.gamma, d.b)
+            + np.einsum("aci,cjk->ijka", d.gamma_perp, d.b)
         )
-        rhs = np.einsum("iajk,qi,qj,qk,qa->q", nb, Z, X, Y, xi)
+        rhs = _contract(nb, self.Z, self.X, self.Y, self.xi)
         return lhs[:, None], rhs[:, None]
 
-    def eq_2_3(self, X, Y, Z, W, xi, eta):
+    def eq_2_3(self):
         # (nabla_Z A)_{J xi} = J (nabla_Z A)_xi.
-        d = self.d
-        lhs = _apply(self._nabla_A_op(Z, xi @ d.J_nor.T), X)
-        rhs = _apply(self._nabla_A_op(Z, xi), X) @ d.J_tan.T
+        lhs = _apply(self.nA_Jxi, self.X)
+        rhs = _apply(self.nA_xi, self.X) @ self.d.J_tan.T
         return lhs, rhs
 
-    def eq_2_4_tangent(self, X, Y, Z, W, xi, eta):
+    def eq_2_4_tangent(self):
         # nabla_X (J Y) = J nabla_X Y on frame fields: J_tan is parallel.
         d = self.d
         nJ = (
-            d.dJ_tan
-            + np.einsum("kit,tj->ikj", d.gamma, d.J_tan)
-            - np.einsum("tij,kt->ikj", d.gamma, d.J_tan)
+            d.dJ_tan.transpose(0, 2, 1)
+            + np.einsum("kit,tj->ijk", d.gamma, d.J_tan)
+            - np.einsum("tij,kt->ijk", d.gamma, d.J_tan)
         )
-        lhs = np.einsum("ikj,qi,qj->qk", nJ, X, Y)
+        lhs = _contract(nJ, self.X, self.Y)
         return lhs, np.zeros_like(lhs)
 
-    def eq_2_4_normal(self, X, Y, Z, W, xi, eta):
+    def eq_2_4_normal(self):
         # J b(X, Y) = b(X, J Y).
-        d = self.d
-        lhs = np.einsum("aij,qi,qj->qa", d.b, X, Y) @ d.J_nor.T
-        rhs = np.einsum("aij,qi,qj->qa", d.b, X, Y @ d.J_tan.T)
+        lhs = _contract(self._b, self.X, self.Y) @ self.d.J_nor.T
+        rhs = _contract(self._b, self.X, self.Y @ self.d.J_tan.T)
         return lhs, rhs
 
-    def eq_2_5_shape(self, X, Y, Z, W, xi, eta):
+    def eq_2_5_shape(self):
         # A_{J xi} = J A_xi.
-        d = self.d
-        lhs = _apply(self._A_op(xi @ d.J_nor.T), X)
-        rhs = _apply(self._A_op(xi), X) @ d.J_tan.T
+        lhs = _apply(_contract(self.d.A, self.Jxi), self.X)
+        rhs = _apply(self.A_xi, self.X) @ self.d.J_tan.T
         return lhs, rhs
 
-    def eq_2_5_normal(self, X, Y, Z, W, xi, eta):
+    def eq_2_5_normal(self):
         # D_X (J xi) = J D_X xi on frame fields: J_nor is parallel.
         d = self.d
         nJ = (
-            d.dJ_nor
-            + np.einsum("bci,ca->iba", d.gamma_perp, d.J_nor)
-            - np.einsum("cai,bc->iba", d.gamma_perp, d.J_nor)
+            d.dJ_nor.transpose(0, 2, 1)
+            + np.einsum("bci,ca->iab", d.gamma_perp, d.J_nor)
+            - np.einsum("cai,bc->iab", d.gamma_perp, d.J_nor)
         )
-        lhs = np.einsum("iba,qi,qa->qb", nJ, X, xi)
+        lhs = _contract(nJ, self.X, self.xi)
         return lhs, np.zeros_like(lhs)
 
-    def eq_2_6(self, X, Y, Z, W, xi, eta):
+    def eq_2_6(self):
         # (nabla_{JZ} b)(X, Y) = J ((nabla_Z b)(X, Y)).
-        d = self.d
-        lhs = np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, Z @ d.J_tan.T, X, Y)
-        rhs = np.einsum("iajk,qi,qj,qk->qa", d.nabla_b, Z, X, Y) @ d.J_nor.T
+        lhs = _contract(self._nb, self.JZ, self.X, self.Y)
+        rhs = _contract(self._nb, self.Z, self.X, self.Y) @ self.d.J_nor.T
         return lhs, rhs
 
-    def eq_2_7(self, X, Y, Z, W, xi, eta):
+    def eq_2_7(self):
         # (nabla_{JZ} A)_xi = -J (nabla_Z A)_xi.
-        d = self.d
-        lhs = _apply(self._nabla_A_op(Z @ d.J_tan.T, xi), X)
-        rhs = -_apply(self._nabla_A_op(Z, xi), X) @ d.J_tan.T
+        lhs = _apply(self._nabla_A_op(self.JZ, self.xi), self.X)
+        rhs = -_apply(self.nA_xi, self.X) @ self.d.J_tan.T
         return lhs, rhs
 
-    def eq_2_8(self, X, Y, Z, W, xi, eta):
+    def eq_2_8(self):
         # J A_xi = -A_xi J.
-        d = self.d
-        Axi = self._A_op(xi)
-        lhs = _apply(Axi, X) @ d.J_tan.T
-        rhs = -_apply(Axi, X @ d.J_tan.T)
-        return lhs, rhs
+        J = self.d.J_tan
+        return (_apply(self.A_xi, self.X) @ J.T,
+                -_apply(self.A_xi, self.X @ J.T))
 
-    def eq_2_9(self, X, Y, Z, W, xi, eta):
+    def eq_2_9(self):
         # J (nabla_Z A)_xi = -(nabla_Z A)_xi J.
-        d = self.d
-        nA = self._nabla_A_op(Z, xi)
-        lhs = _apply(nA, X) @ d.J_tan.T
-        rhs = -_apply(nA, X @ d.J_tan.T)
-        return lhs, rhs
+        J = self.d.J_tan
+        return (_apply(self.nA_xi, self.X) @ J.T,
+                -_apply(self.nA_xi, self.X @ J.T))
 
-    def eq_2_11(self, X, Y, Z, W, xi, eta):
+    def eq_2_11(self):
         # The space-form part of the normal curvature, g(X, JY) J xi as a
         # tensor field in (X, Y, xi), is parallel: its covariant derivative
         # through the induced and normal connections vanishes.
         d = self.d
-        T = np.einsum("it,tj,ba->ijab", d.g, d.J_tan, d.J_nor)
-        dT = (
-            np.einsum("sit,tj,ba->sijab", d.dg, d.J_tan, d.J_nor)
-            + np.einsum("it,stj,ba->sijab", d.g, d.dJ_tan, d.J_nor)
-            + np.einsum("it,tj,sba->sijab", d.g, d.J_tan, d.dJ_nor)
-        )
-        nT = (
-            dT
-            - np.einsum("tsi,tjab->sijab", d.gamma, T)
-            - np.einsum("tsj,itab->sijab", d.gamma, T)
-            - np.einsum("cas,ijcb->sijab", d.gamma_perp, T)
-            + np.einsum("bcs,ijac->sijab", d.gamma_perp, T)
-        )
-        lhs = np.einsum("sijab,qs,qi,qj,qa->qb", nT, Z, X, Y, xi)
+        gJ = d.g @ d.J_tan
+        dgJ = d.dg @ d.J_tan + d.g @ d.dJ_tan  # [s, i, j] = d_s (g J)_ij
+        T = np.einsum("ij,ba->ijab", gJ, d.J_nor)
+        dT = (np.einsum("sij,ba->sijab", dgJ, d.J_nor)
+              + np.einsum("ij,sba->sijab", gJ, d.dJ_nor))
+        nT = covariant_derivative(T, dT, d.gamma, d.gamma_perp, "ttnn")
+        lhs = _contract(nT, self.Z, self.X, self.Y, self.xi)
         return lhs, np.zeros_like(lhs)
 
     # -- closed forms for the normal curvature and its derivative --------------
 
-    def eq_2_12(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = np.einsum("ijab,qi,qj,qa->qb", d.r_perp, X, Y, xi)
+    def eq_2_12(self):
+        d, X, Y, Axi = self.d, self.X, self.Y, self.A_xi
+        lhs = _contract(d.r_perp, X, Y, self.xi)
         gXJY = self._inner_tan(X, Y @ d.J_tan.T)
-        Axi = self._A_op(xi)
         rhs = (
-            d.c / 2.0 * gXJY[:, None] * (xi @ d.J_nor.T)
-            + np.einsum("aij,qi,qj->qa", d.b, X, _apply(Axi, Y))
-            - np.einsum("aij,qi,qj->qa", d.b, Y, _apply(Axi, X))
+            d.c / 2.0 * gXJY[:, None] * self.Jxi
+            + _contract(self._b, X, _apply(Axi, Y))
+            - _contract(self._b, Y, _apply(Axi, X))
         )
         return lhs, rhs
 
-    def eq_2_13(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = np.einsum("sijab,qs,qi,qj,qa->qb", d.nabla_r_perp, Z, X, Y, xi)
-        Axi = self._A_op(xi)
-        nbZ = np.einsum("sajk,qs->qajk", d.nabla_b, Z)
-        nAxi = self._nabla_A_op(Z, xi)
+    def eq_2_13(self):
+        X, Y, Z, Axi, nAxi = self.X, self.Y, self.Z, self.A_xi, self.nA_xi
+        nb, b = self._nb, self._b
+        lhs = _apply(self.nrp_ZXY, self.xi)
         rhs = (
-            np.einsum("qajk,qj,qk->qa", nbZ, X, _apply(Axi, Y))
-            + np.einsum("aij,qi,qj->qa", d.b, X, _apply(nAxi, Y))
-            - np.einsum("qajk,qj,qk->qa", nbZ, Y, _apply(Axi, X))
-            - np.einsum("aij,qi,qj->qa", d.b, Y, _apply(nAxi, X))
+            _contract(nb, Z, X, _apply(Axi, Y))
+            + _contract(b, X, _apply(nAxi, Y))
+            - _contract(nb, Z, Y, _apply(Axi, X))
+            - _contract(b, Y, _apply(nAxi, X))
         )
         return lhs, rhs
 
-    def eq_2_14(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = np.einsum(
-            "sijab,qs,qi,qj,qa,qb->q", d.nabla_r_perp, Z, X, Y, xi, eta
-        )
-        Axi = self._A_op(xi)
-        Aeta = self._A_op(eta)
-        nAxi = self._nabla_A_op(Z, xi)
-        nAeta = self._nabla_A_op(Z, eta)
+    def eq_2_14(self):
+        Axi, Aeta, nAxi = self.A_xi, self.A_eta, self.nA_xi
+        lhs = _dot(_apply(self.nrp_ZXY, self.xi), self.eta)
+        nAeta = self._nabla_A_op(self.Z, self.eta)
         comm = (nAxi @ Aeta - Aeta @ nAxi) + (Axi @ nAeta - nAeta @ Axi)
-        rhs = self._inner_tan(_apply(comm, X), Y)
+        rhs = self._inner_tan(_apply(comm, self.X), self.Y)
         return lhs[:, None], rhs[:, None]
 
-    def eq_2_15(self, X, Y, Z, W, xi, eta):
-        d = self.d
-        lhs = np.einsum(
-            "sijab,qs,qi,qj,qa,qb->q", d.nabla_r_perp, Z @ d.J_tan.T, X, Y, xi, eta
-        )
-        rhs = np.einsum(
-            "sijab,qs,qi,qj,qa,qb->q", d.nabla_r_perp, Z, X, Y, xi @ d.J_nor.T, eta
-        )
-        nAJxi = self._nabla_A_op(Z, xi @ d.J_nor.T)
-        Aeta = self._A_op(eta)
+    def eq_2_15(self):
+        X, Y = self.X, self.Y
+        lhs = _contract(self.d.nabla_r_perp, self.JZ, X, Y, self.xi, self.eta)
+        rhs = _dot(_apply(self.nrp_ZXY, self.Jxi), self.eta)
+        nAJxi, Aeta = self.nA_Jxi, self.A_eta
         comm = nAJxi @ Aeta - Aeta @ nAJxi
         rhs -= 2.0 * self._inner_tan(_apply(comm, X), Y)
         return lhs[:, None], rhs[:, None]
 
     # -- route agreements and structural sanity ---------------------------------
 
-    def _two_path(self, route, Q):
-        return self._each(Q, [self.d.two_path[route]], [0.0])
+    def _two_path(self, route):
+        return self._each([self.d.two_path[route]], [0.0])
 
-    def two_path_nabla_b(self, X, *_):
-        return self._two_path("two_path_nabla_b", len(X))
+    def two_path_nabla_b(self):
+        return self._two_path("two_path_nabla_b")
 
-    def two_path_r_perp(self, X, *_):
-        return self._two_path("two_path_r_perp", len(X))
+    def two_path_r_perp(self):
+        return self._two_path("two_path_r_perp")
 
-    def two_path_r(self, X, *_):
-        return self._two_path("two_path_r", len(X))
+    def two_path_r(self):
+        return self._two_path("two_path_r")
 
-    def two_path_nabla_r(self, X, *_):
-        return self._two_path("two_path_nabla_r", len(X))
+    def two_path_nabla_r(self):
+        return self._two_path("two_path_nabla_r")
 
-    def nabla_a_self_adjoint(self, X, Y, Z, W, xi, eta):
-        nA = self._nabla_A_op(Z, xi)
+    def nabla_a_self_adjoint(self):
+        nA, X, Y = self.nA_xi, self.X, self.Y
         lhs = self._inner_tan(_apply(nA, X), Y)
         rhs = self._inner_tan(X, _apply(nA, Y))
         return lhs[:, None], rhs[:, None]
 
 
+def _contract(T, *vecs) -> np.ndarray:
+    """T contracted on its leading axes with per-tuple vectors, one axis at
+    a time: ``out[q, ...] = sum T[i, j, .., ...] vecs[0][q, i] vecs[1][q, j] ..``.
+
+    Each step is one matmul on T reshaped to (axis, rest), where a single
+    ``np.einsum`` over all the operands loops over every index combination
+    at once.
+    """
+    out = vecs[0] @ T.reshape(len(T), -1)
+    shape = T.shape[1:]
+    for V in vecs[1:]:
+        out = (V[:, None] @ out.reshape(len(V), shape[0], -1))[:, 0]
+        shape = shape[1:]
+    return out.reshape((len(vecs[0]),) + shape)
+
+
 def _apply(M, V) -> np.ndarray:
     """Each row's matrix applied to that row's vector."""
-    return np.einsum("qkj,qj->qk", M, V)
+    return (M @ V[:, :, None])[:, :, 0]
 
 
 def _dot(U, V) -> np.ndarray:
@@ -421,11 +408,10 @@ def run_identity_suite(
     rng = np.random.default_rng(rng_seed)
     if b_override is not None:
         data = replace(data, b=np.asarray(b_override, float))
-    ev = _Evaluator(data)
-    tuples = _draw_tuples(rng, n_tuples, ev.nu, ev.p)
+    ev = _Evaluator(data, _draw_tuples(rng, n_tuples, 2 * data.m, 2 * data.l))
     results = []
     for chk in REGISTRY:
-        lhs, rhs = getattr(ev, chk.identity_id)(*tuples)
+        lhs, rhs = getattr(ev, chk.identity_id)()
         worst = float(normalized_residual(lhs, rhs, batched=True).max(initial=0.0))
         tol = chk.tolerance
         if tolerances and chk.identity_id in tolerances:

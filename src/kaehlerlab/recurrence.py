@@ -37,7 +37,7 @@ class RecurrenceResult:
     classification: str
     mu: np.ndarray
     mu_norm: float
-    fit_residual: float
+    fit_residual: float | None  # None where nabla b is round-off (see classify)
     b_norm: float
     nabla_b_norm: float
     theorem1_residual: float
@@ -70,7 +70,12 @@ def solve_mu(nabla_b: np.ndarray, b: np.ndarray):
 
 
 def classify(data: ExtrinsicData) -> RecurrenceResult:
-    """Point classification from frame-independent norms of b and nabla b."""
+    """Point classification from frame-independent norms of b and nabla b.
+
+    At totally geodesic and parallel points nabla b is round-off, so the
+    relative fit |nabla b - mu (x) b| / |nabla b| is noise: ``fit_residual``
+    is None there, while ``mu`` is still reported.
+    """
     norms = tensor_norms(data)
     b_norm = norms["b"]
     nb_norm = norms["nabla_b"]
@@ -92,7 +97,7 @@ def classify(data: ExtrinsicData) -> RecurrenceResult:
         classification=label,
         mu=mu,
         mu_norm=mu_norm,
-        fit_residual=fit,
+        fit_residual=None if label in (TOTALLY_GEODESIC, PARALLEL) else fit,
         b_norm=b_norm,
         nabla_b_norm=nb_norm,
         theorem1_residual=t1,

@@ -407,9 +407,13 @@ class PointGeometry:
     # -- second fundamental form and shape operators --------------------------
 
     def _build_second_fundamental_form(self):
+        # One ambient derivative of the rows (T, N) serves b here and the
+        # normal connection next.
+        nu = self.nu
+        DTN = self._ambient_derivative(stack([*self.T_jet, *self.N_jet]))
+        self.DN_jet = DTN[:, nu:]
         self.b_vec_jet = (
-            self._ambient_derivative(self.T_jet)
-            - einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
+            DTN[:, :nu] - einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
         )
         self.b_jet = einsum("ijA,aA->aij", self.b_vec_jet, self.N_low)
         # A[a, k, j] = b[a, j, t] g^tk
@@ -418,9 +422,7 @@ class PointGeometry:
     # -- normal connection ----------------------------------------------------
 
     def _build_normal_connection(self):
-        self.gamma_perp_jet = einsum(
-            "aA,ibA->abi", self.N_low, self._ambient_derivative(self.N_jet)
-        )
+        self.gamma_perp_jet = einsum("aA,ibA->abi", self.N_low, self.DN_jet)
         gp = jet_values(self.gamma_perp_jet)
         self.frame_residuals["gamma_perp_antisymmetry"] = float(
             np.abs(gp + gp.transpose(1, 0, 2)).max()
@@ -439,10 +441,11 @@ class PointGeometry:
         # then projection onto the normal frame.  Only its value is needed,
         # so it is assembled in floats with the ambient connection at F(u).
         bv = jet_values(self.b_vec_jet)
+        # [i, C, B] = Gamma^C_{AB} T_i^A, then paired with b_vec[j, k, B].
+        GT = np.tensordot(jet_values(self.T_jet), self.gamma_amb, ([1], [1]))
         w = (
             jet_gradient(self.b_vec_jet)
-            + np.einsum("CAB,iA,jkB->ijkC", self.gamma_amb,
-                        jet_values(self.T_jet), bv)
+            + bv @ GT.transpose(0, 2, 1)[:, None]
             - np.einsum("tij,tkA->ijkA", gam, bv)
             - np.einsum("tik,jtA->ijkA", gam, bv)
         )
@@ -531,12 +534,11 @@ class PointGeometry:
         nb = self.nabla_b
         # Derivative of the curvature via products of b with its covariant
         # derivative; the ambient contribution is parallel and drops out.
-        nrA = (
-            np.einsum("sail,ajk->sijkl", nb, b)
-            + np.einsum("ail,sajk->sijkl", b, nb)
-            - np.einsum("saik,ajl->sijkl", nb, b)
-            - np.einsum("aik,sajl->sijkl", b, nb)
-        )
+        # Of the four product terms, the two subtracted ones are the added
+        # ones with k and l swapped.
+        P = (np.einsum("sail,ajk->sijkl", nb, b)
+             + np.einsum("ail,sajk->sijkl", b, nb))
+        nrA = P - P.swapaxes(3, 4)
         # Cross-check: coordinate covariant derivative of the jet-valued
         # curvature from route 2.
         nrB = covariant_derivative(r2_val, jet_gradient(r2), gam, gp, "tttt")

@@ -228,6 +228,9 @@ class TestRun:
             recurrence = point["recurrence"]
             assert recurrence["classification"] == "Parallel"
             assert recurrence["theorems"]["passed"] is True
+            # The fit of nabla b = mu (x) b is noise where nabla b vanishes.
+            assert recurrence["fit_residual"] is None
+            assert len(recurrence["mu"]) == 2
 
 
 class TestSampler:

@@ -1,12 +1,15 @@
 """Identity suite: registry coverage, residual levels, negative controls,
 tuple batching."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kaehlerlab import ambient as amb
+from kaehlerlab import cli
 from kaehlerlab import identities as idn
 from kaehlerlab import submanifold as sm
 
@@ -96,6 +99,38 @@ CUBIC_SURFACE = sm.ImmersionCase(
 )
 
 
+def _load_extra_cases():
+    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+    spec = importlib.util.spec_from_file_location("tools_parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {case.name: case for case in module.extra_cases()}
+
+
+#: The quadric Q3 in CP4 and a flat cubic threefold in C4 (complex dimension
+#: m = 3), defined once in tools/parity.py, outside the catalog so that the
+#: default run is unchanged.
+_EXTRA = _load_extra_cases()
+QUADRIC_Q3 = _EXTRA["quadric_q3"]
+CUBIC_THREEFOLD = _EXTRA["cubic_threefold_c4"]
+
+
+class TestComplexDimensionThree:
+    @pytest.mark.parametrize("case", [QUADRIC_Q3, CUBIC_THREEFOLD],
+                             ids=lambda c: c.name)
+    def test_every_check_passes_and_class_matches(self, case):
+        config = cli.RunConfig(cases=[case.name], points=4, seed=11)
+        report, failed, mismatched = cli.run_case(case, config,
+                                                  len(sm.CATALOG))
+        assert not failed and not mismatched
+        for entry in report["points"]:
+            assert "skipped" not in entry, entry
+            assert len(entry["checks"]) == len(idn.REGISTRY)
+            assert all(chk["passed"] for chk in entry["checks"]), entry
+            theorems = entry["recurrence"]["theorems"]
+            assert theorems["passed"] is (True if case is QUADRIC_Q3 else None)
+
+
 class TestTupleBatch:
     @pytest.mark.parametrize("case, u", [
         (sm.get_case("veronese_cp2"), [0.3, -0.6]),
@@ -104,14 +139,17 @@ class TestTupleBatch:
     def test_each_tuple_evaluated_on_its_own(self, case, u):
         # Row q of a batch of tuples gives what tuple q gives alone: no check
         # mixes one tuple's vectors into another's sides.
-        ev = idn._Evaluator(sm.extrinsic_data(case, u))
-        batch = idn._draw_tuples(np.random.default_rng(29), 8, ev.nu, ev.p)
+        data = sm.extrinsic_data(case, u)
+        batch = idn._draw_tuples(np.random.default_rng(29), 8, 2 * case.m,
+                                 2 * case.l)
+        ev = idn._Evaluator(data, batch)
+        alone = [idn._Evaluator(data, [v[q:q + 1] for v in batch])
+                 for q in range(8)]
         for chk in idn.REGISTRY:
-            fn = getattr(ev, chk.identity_id)
-            lhs, rhs = fn(*batch)
+            lhs, rhs = getattr(ev, chk.identity_id)()
             assert lhs.shape[0] == rhs.shape[0] == 8, chk.identity_id
             for q in range(8):
-                lhs1, rhs1 = fn(*(v[q:q + 1] for v in batch))
+                lhs1, rhs1 = getattr(alone[q], chk.identity_id)()
                 for got, want in ((lhs[q], lhs1[0]), (rhs[q], rhs1[0])):
                     np.testing.assert_allclose(
                         got, want, rtol=1e-12, atol=1e-14,
@@ -129,6 +167,38 @@ class TestTupleBatch:
                 for k, width in enumerate((nu, nu, nu, nu, p, p)):
                     want = rng.uniform(-1.0, 1.0, width)
                     assert np.array_equal(batch[k][q], want)
+
+
+#: Tuple contractions that checks once made with one ``np.einsum`` each.
+FORMER_SPECS = (
+    "ijkl,qi,qj,qk,ql->q", "aij,qi,qj->qa", "iajk,qi,qj,qk->qa",
+    "iajk,qj,qi,qk->qa", "ijab,qi,qj,qa,qb->q", "iajk,qi,qj,qk,qa->q",
+    "sakj,qs,qa->qkj", "akj,qa->qkj", "ikj,qi,qj->qk", "iba,qi,qa->qb",
+    "sijab,qs,qi,qj,qa->qb", "ijab,qi,qj,qa->qb", "sijab,qs,qi,qj,qa,qb->q",
+)
+
+
+class TestContract:
+    @pytest.mark.parametrize("m, l", [(1, 1), (1, 2), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("spec", FORMER_SPECS)
+    def test_matches_einsum(self, spec, m, l):
+        # Tangent letters run over 2m values and normal ones (a, b) over 2l,
+        # so index-order bugs show once m != l.
+        rng = np.random.default_rng(17)
+        ins, _ = spec.split("->")
+        t_sub, *v_subs = ins.split(",")
+        size = {ch: 2 * l if ch in "ab" else 2 * m for ch in t_sub}
+        T = rng.uniform(-1.0, 1.0, [size[ch] for ch in t_sub])
+        vecs = [rng.uniform(-1.0, 1.0, (8, size[v[1]])) for v in v_subs]
+        # The helper contracts leading axes in order: move the contracted
+        # axes of T to the front, in the order of the vectors.
+        lead = [v[1] for v in v_subs]
+        order = [t_sub.index(ch) for ch in lead]
+        order += [k for k in range(T.ndim) if k not in order]
+        got = idn._contract(T.transpose(order), *vecs)
+        want = np.einsum(spec, T, *vecs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestAmbientProjection:

@@ -71,6 +71,17 @@ class TestClassify:
         assert result.classification == rec.NON_RECURRENT
         assert result.fit_residual > 0.1
 
+    @pytest.mark.parametrize("name, u", [
+        ("linear_c2", [0.4, 0.8]), ("veronese_cp2", [0.5, -0.3]),
+    ])
+    def test_no_fit_residual_where_nabla_b_vanishes(self, name, u):
+        # |nabla b| is round-off at these points, so the relative fit would
+        # be noise; mu is still reported, and read by verify_theorems.
+        result = rec.classify(data_at(name, u))
+        assert result.fit_residual is None
+        assert result.mu.shape == (2,)
+        assert result.mu_norm <= 1e-7
+
     def test_graph_cases_non_recurrent(self):
         rng = np.random.default_rng(7)
         for name in ["graph_z2_c2", "graph_z3_c2", "graph_c3"]:
