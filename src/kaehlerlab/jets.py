@@ -8,7 +8,7 @@ the order-3 coefficients, so a jet's order is its coefficient count:
 Arithmetic is exact truncated polynomial algebra: products of total degree
 above the order are discarded.  A derivative lowers the order by one (the
 top degree has no source), and mixed-order arithmetic (``+ - * /``,
-``einsum``, ``stack``, item assignment) truncates to the lower order, so
+``einsum``, ``stack``) truncates to the lower order, so
 each quantity carries just the degrees its inputs determine.  All higher
 geometry in this package is built by evaluating chart expressions on jets,
 so that mixed partial derivatives up to third order come out of plain
@@ -223,29 +223,12 @@ class Jet:
         v = self.c[..., 0]
         return float(v) if v.ndim == 0 else v.copy()
 
-    def copy(self) -> "Jet":
-        return Jet._wrap(self.n, self.c.copy())
-
     # -- array structure ---------------------------------------------------
 
     def __getitem__(self, key) -> "Jet":
         if not isinstance(key, tuple):
             key = (key,)
         return Jet._wrap(self.n, self.c[key + (slice(None),)])
-
-    def __setitem__(self, key, value):
-        """Assign floats or jets of at least this order (truncated to it)."""
-        if not isinstance(key, tuple):
-            key = (key,)
-        o = self._coeffs(value)
-        if o is None:
-            raise TypeError(f"cannot assign {type(value).__name__} to a jet")
-        size = self.c.shape[-1]
-        if o.shape[-1] < size:
-            raise ValueError(
-                f"cannot assign an order-{_order_of(self.n, o)} value "
-                f"into an order-{self.order} jet array")
-        self.c[key + (slice(None),)] = o[..., :size]
 
     def __iter__(self):
         for k in range(len(self)):
@@ -610,9 +593,6 @@ class ComplexJet:
         )
 
     __rmul__ = __mul__
-
-    def conj(self) -> "ComplexJet":
-        return ComplexJet(self.re.copy(), -self.im)
 
     def abs2(self) -> Jet:
         return self.re * self.re + self.im * self.im

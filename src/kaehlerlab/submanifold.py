@@ -16,9 +16,10 @@ Each jet carries only the order its consumers read, since a derivative
 lowers the order by one and mixed-order arithmetic truncates to the lower
 order: F is order 3; the ambient metric (evaluated on F truncated to
 order 2), T, g, g^-1, N and J in both frames are order 2; the ambient
-connection (on F truncated to order 1), Gamma, b_vec, b, A, gamma_perp,
-the Gram jet of the frames and the curvature jets (rp1, r2, bb and the
-ambient curvature term) are order 1.
+connection (on F truncated to order 1), Gamma, b_vec and its lowered
+form, b, A, gamma_perp, the Gram jet of the frames and the curvature jets
+(rp1, r2, bb and the ambient curvature term, which is evaluated on float
+probes of the Gram jet) are order 1.
 Quantities whose derivative we take downstream are kept as jets; everything
 else is read off their coefficients (``jet_values``, ``jet_gradient``) and
 assembled with float array algebra, every covariant derivative through
@@ -225,21 +226,18 @@ class ExtrinsicData:
     frame_residuals: dict = field(default_factory=dict)
 
 
-def normalized_residual(p1, p2, batched: bool = False):
-    """|p1 - p2|_inf / (1 + max(|p1|_inf, |p2|_inf)).
+def normalized_residual(p1, p2) -> float:
+    """|p1 - p2|_inf / (1 + max(|p1|_inf, |p2|_inf))."""
+    p1, p2 = np.asarray(p1, float), np.asarray(p2, float)
+    d, a, b = (np.abs(x).max(initial=0.0) for x in (p1 - p2, p1, p2))
+    return float(d / (1.0 + max(a, b)))
 
-    With ``batched`` the leading axis indexes independent pairs, and the
-    result is the array of their residuals, one per row.
-    """
-    if not batched:
-        return float(normalized_residual([p1], [p2], batched=True)[0])
-    p1 = np.asarray(p1, float)
-    p2 = np.asarray(p2, float)
 
-    def top(a):  # the largest |entry| of each row
-        return np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
-
-    return top(p1 - p2) / (1.0 + np.maximum(top(p1), top(p2)))
+def _probes(jet: Jet) -> np.ndarray:
+    """Float probes of a jet array on a new leading axis: its values, then
+    value + d_s for each variable s, then value - d_s for each s."""
+    v, d = jet_values(jet), jet_gradient(jet)
+    return np.concatenate([v[None], v + d, v - d])
 
 
 def covariant_derivative(T, dT, gamma, gamma_perp, slots) -> np.ndarray:
@@ -329,7 +327,12 @@ class PointGeometry:
         g = einsum("iA,jA->ij", self.T_low, self.T_jet)
         # Exactly symmetric, so the Christoffel symbols are too.
         self.g_jet = (g + g.T) * 0.5
-        self.g_inv_jet = jet_matrix_inverse(self.g_jet)
+        try:  # g, quadratic in T, can fall below the floor past the gate
+            self.g_inv_jet = jet_matrix_inverse(self.g_jet)
+        except ZeroDivisionError as exc:
+            raise DegeneratePointError(
+                f"{self.case.name}: induced metric singular at u={self.u}"
+            ) from exc
         dg = jet_partials(self.g_jet)  # [i, j, k] = d_i g_jk
         low = dg + einsum("jik->ijk", dg) - einsum("kij->ijk", dg)
         self.gamma_jet = einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)
@@ -398,11 +401,9 @@ class PointGeometry:
         if self.c != 0.0:
             # Gram jet <(T, JT)_i, (T, N)_x>: every pairing the closed-form
             # ambient curvature reads (see ``_ambient_curvature``).
-            frame_low = Jet.constant(np.zeros((self.nu + 2 * self.l, self.d)),
-                                     self.nu).truncate(1)
-            frame_low[:self.nu], frame_low[self.nu:] = self.T_low, self.N_low
-            self.gram_jet = einsum("siA,xA->six", stack([self.T_jet, JT.T]),
-                                   frame_low)
+            self.gram_jet = einsum("siA,xA->six",
+                                   stack([self.T_jet, JT.T]).truncate(1),
+                                   stack([*self.T_low, *self.N_low]))
 
     # -- second fundamental form and shape operators --------------------------
 
@@ -415,7 +416,9 @@ class PointGeometry:
         self.b_vec_jet = (
             DTN[:, :nu] - einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
         )
-        self.b_jet = einsum("ijA,aA->aij", self.b_vec_jet, self.N_low)
+        # b_vec lowered once serves b here and the Gauss route's bb.
+        self.b_low_jet = einsum("ijA,AB->ijB", self.b_vec_jet, self.g_amb_jet)
+        self.b_jet = einsum("ijA,aA->aij", self.b_low_jet, self.N_jet)
         # A[a, k, j] = b[a, j, t] g^tk
         self.A_jet = einsum("ajt,tk->akj", self.b_jet, self.g_inv_jet)
 
@@ -463,20 +466,28 @@ class PointGeometry:
         ``[i, j, a, b]``, with Z, W the normal frame (``normal``, the Ricci
         term) or the tangent frame (the Gauss term).  Each slot pairing is
         an entry of the Gram jet, broadcast onto the axes of its two slots,
-        except <J n_a, n_b> = J_nor[b, a]."""
+        except <J n_a, n_b> = J_nor[b, a].  The closed form runs once, on
+        float probes of the pairings (``_probes``).  It is quadratic in them,
+        so f(v + d_s) - f(v - d_s) = 2 Df(v) d_s exactly: probe 0 and half
+        those differences are the value and first partials of the jet."""
         nu = self.nu
         zw = slice(nu, None) if normal else slice(None, nu)
-        gram_P, gram_K = self.gram_jet
+        gram_P, gram_K = np.moveaxis(_probes(self.gram_jet), 1, 0)
 
         def cross(M):  # pairings of the slots X, Y with Z, W
-            M = M[:, zw]
-            return {(1, 2): M[None, :, :, None], (0, 3): M[:, None, None, :],
-                    (0, 2): M[:, None, :, None], (1, 3): M[None, :, None, :]}
+            M = M[..., zw]
+            return {(1, 2): M[:, None, :, :, None],
+                    (0, 3): M[:, :, None, None, :],
+                    (0, 2): M[:, :, None, :, None],
+                    (1, 3): M[:, None, :, None, :]}
 
         P, K = cross(gram_P), cross(gram_K)
-        K[1, 0] = gram_K[:, :nu].T[:, :, None, None]
-        K[2, 3] = (self.J_nor_jet.T if normal else gram_K[:, :nu])[None, None]
-        return amb.curvature_operator(self.c, P, K)
+        K[1, 0] = gram_K[..., :nu].swapaxes(1, 2)[..., None, None]
+        K[2, 3] = (_probes(self.J_nor_jet).swapaxes(1, 2) if normal
+                   else gram_K[..., :nu])[:, None, None]
+        R = amb.curvature_operator(self.c, P, K)
+        half = (R[1:nu + 1] - R[nu + 1:]) * 0.5
+        return Jet(nu, np.moveaxis(np.concatenate([R[:1], half]), 0, -1))
 
     # -- normal curvature -------------------------------------------------------
 
@@ -521,8 +532,7 @@ class PointGeometry:
         # Route 2: ambient curvature minus products of the vector-valued
         # second fundamental form, kept as jets for the derivative below.
         # bb[i, j, k, l] = <b(d_i, d_k), b(d_j, d_l)>
-        bb = einsum("ikB,BA,jlA->ijkl", self.b_vec_jet, self.g_amb_jet,
-                    self.b_vec_jet)
+        bb = einsum("ikA,jlA->ijkl", self.b_low_jet, self.b_vec_jet)
         r2 = bb.transpose(0, 1, 3, 2) - bb
         if self.c != 0.0:
             r2 = r2 + self._ambient_curvature(normal=False)

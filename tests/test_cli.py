@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kaehlerlab import ambient as amb
 from kaehlerlab import cli
 from kaehlerlab import submanifold as sm
+from kaehlerlab.jets import jet_partials, jet_values
 
 
 def run_cli(argv):
@@ -149,6 +151,26 @@ class TestRun:
             }
             assert "two_path_r" in point["skipped"]
             assert "checks" not in point
+
+    def test_singular_metric_point_is_skipped(self):
+        # (z^3, z^4) at u = (1.8e-4, 0): the smallest singular value of T is
+        # about 1e-7, above RANK_TOL, but g is about 1e-14, below the
+        # inverse's floor.  The point is a skipped entry, not a traceback.
+        case = sm.ImmersionCase(
+            "graph_z3_z4_c2", 1, amb.flat(2),
+            lambda z: [z[0] * z[0] * z[0], z[0] * z[0] * z[0] * z[0]],
+            ((1.8e-4, 1.8e-4), (0.0, 0.0)), sm.GENERIC)
+        T = jet_values(jet_partials(case.map_jets([1.8e-4, 0.0])))
+        sv = np.linalg.svd(T, compute_uv=False)
+        assert sv.min() >= sm.RANK_TOL
+        report, failed, mismatched = cli.run_case(
+            case, cli.RunConfig(points=1), len(sm.CATALOG))
+        assert not failed and not mismatched
+        (point,) = report["points"]
+        assert point["u"] == [1.8e-4, 0.0]
+        assert "induced metric singular" in point["skipped"]
+        assert "internal_error" not in point
+        assert report["aggregates"]["skipped_points"] == 1
 
     def test_text_format(self, capsys):
         code = run_cli([

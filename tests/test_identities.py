@@ -1,12 +1,11 @@
 """Identity suite: registry coverage, residual levels, negative controls,
 tuple batching."""
 
-import importlib.util
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from extra_cases import CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import cli
@@ -83,6 +82,21 @@ class TestNegativeControls:
         assert by_id["eq_2_14"]["tolerance"] == 1e-18
         assert not by_id["eq_2_14"]["passed"]
 
+    def test_loosened_tolerance_passes_perturbed_check(self):
+        data = sm.extrinsic_data(sm.get_case("graph_z2_c2"), [0.5, 0.2])
+        noise = 1e-3 * np.random.default_rng(43).uniform(-1, 1, data.b.shape)
+        results = idn.run_identity_suite(
+            data, rng_seed=11, b_override=data.b + noise,
+            tolerances={"eq_2_1_duality": 1.0})
+        for r in results:
+            want = (1.0 if r["id"] == "eq_2_1_duality"
+                    else idn.REGISTRY_BY_ID[r["id"]].tolerance)
+            assert r["tolerance"] == want
+            assert r["passed"] is (r["residual"] <= want)
+        by_id = {r["id"]: r for r in results}
+        assert 1e-4 <= by_id["eq_2_1_duality"]["residual"] <= 1.0
+        assert by_id["eq_2_1_duality"]["passed"]
+
     def test_unperturbed_control_passes(self):
         results = suite_for("graph_z2_c2", [0.5, 0.2], seed=11)
         by_id = {r["id"]: r for r in results}
@@ -97,22 +111,6 @@ CUBIC_SURFACE = sm.ImmersionCase(
     "cubic_graph_c3", 2, amb.flat(3), _chart_cubic_surface,
     ((-1.0, 1.0),) * 4, sm.GENERIC,
 )
-
-
-def _load_extra_cases():
-    path = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
-    spec = importlib.util.spec_from_file_location("tools_parity", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {case.name: case for case in module.extra_cases()}
-
-
-#: The quadric Q3 in CP4 and a flat cubic threefold in C4 (complex dimension
-#: m = 3), defined once in tools/parity.py, outside the catalog so that the
-#: default run is unchanged.
-_EXTRA = _load_extra_cases()
-QUADRIC_Q3 = _EXTRA["quadric_q3"]
-CUBIC_THREEFOLD = _EXTRA["cubic_threefold_c4"]
 
 
 class TestComplexDimensionThree:
@@ -167,6 +165,43 @@ class TestTupleBatch:
                 for k, width in enumerate((nu, nu, nu, nu, p, p)):
                     want = rng.uniform(-1.0, 1.0, width)
                     assert np.array_equal(batch[k][q], want)
+
+
+class TestOnePassResiduals:
+    """The suite takes every check's residual in one pass over the stacked
+    sides; each must be, bit for bit, the worst per-tuple residual."""
+
+    @pytest.mark.parametrize("case, u", [
+        (sm.get_case("veronese_cp2"), [0.3, -0.6]),
+        (CUBIC_SURFACE, [0.4, -0.3, 0.2, 0.5]),
+        (SEGRE, [0.3, -0.2, 0.1, 0.4]),
+    ], ids=["veronese_cp2", "cubic_surface", "segre_cp1xcp1"])
+    @pytest.mark.parametrize("seed", [0, 101, 2**40 + 7])
+    def test_residuals_are_per_tuple_maxima(self, case, u, seed):
+        data = sm.extrinsic_data(case, u)
+        tuples = idn._draw_tuples(np.random.default_rng(seed), 8,
+                                  2 * case.m, 2 * case.l)
+        ev = idn._Evaluator(data, tuples)
+        results = idn.run_identity_suite(data, rng_seed=seed)
+        assert [r["id"] for r in results] == [c.identity_id
+                                               for c in idn.REGISTRY]
+        for r in results:
+            lhs, rhs = getattr(ev, r["id"])()
+            want = max(sm.normalized_residual(lhs[q], rhs[q])
+                       for q in range(8))
+            assert r["residual"] == want, r["id"]
+
+    @pytest.mark.parametrize("sides", [
+        (np.zeros((8, 0)), np.zeros((8, 0))),
+        (np.zeros((8, 2, 0)), np.zeros((8, 2, 0))),
+        (np.zeros((8, 3)), np.zeros((8, 2))),
+    ], ids=["empty", "empty_inner_axis", "shapes_differ"])
+    def test_malformed_sides_raise(self, monkeypatch, sides):
+        # An empty segment would make reduceat read its neighbour's column.
+        monkeypatch.setattr(idn._Evaluator, "eq_2_8", lambda self: sides)
+        data = sm.extrinsic_data(sm.get_case("graph_z2_c2"), [0.5, 0.2])
+        with pytest.raises(ValueError, match="non-empty"):
+            idn.run_identity_suite(data, rng_seed=3)
 
 
 #: Tuple contractions that checks once made with one ``np.einsum`` each.

@@ -567,21 +567,6 @@ class TestOrders:
         assert got == stack(full, axis=axis).truncate(min(orders))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 4]), _ORDERS, _ORDERS,
-           hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), st.data())
-    def test_setitem_truncates_value(self, n, p, q, shape, data):
-        p, q = min(p, q), max(p, q)  # the value has at least the array's order
-        a = _float_jets(data.draw, n, shape)
-        full = _float_jets(data.draw, n, (3,) + shape)
-        cut = full.truncate(p).copy()
-        full[1] = a
-        full[2, ...] = 2.5
-        cut[1] = a.truncate(q)
-        cut[2, ...] = 2.5
-        assert cut.order == p
-        assert cut == full.truncate(p)
-
-    @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 4]), _ORDERS.filter(bool),
            hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), st.data())
     def test_derivative_drops_one_order(self, n, p, shape, data):
@@ -635,11 +620,6 @@ class TestOrderErrors:
         assert extract(jet, (1, 0)) == 1.0
         with pytest.raises(ValueError, match="order 1"):
             extract(jet, (1, 1))
-
-    def test_assign_lower_order_value(self):
-        arr = Jet.constant(np.zeros(3), 2)
-        with pytest.raises(ValueError, match="order-2 value"):
-            arr[0] = seed_variable(0, 0.5, 2).truncate(2)
 
     def test_coefficient_count_of_no_order(self):
         # n = 2 has orders of 1, 3, 6 and 10 coefficients.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from extra_cases import QUADRIC_Q3, SEGRE
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import identities as ids
@@ -153,10 +154,6 @@ class TestTwoPathGates:
                     assert val <= sm.TWO_PATH_TOL[key], (case.name, key, val)
 
 
-def _chart_segre(z):
-    return [z[0], z[1], z[0] * z[1]]
-
-
 def _chart_cubic_surface(z):
     return [z[0], z[1], z[0] * z[0] * z[1] + z[1] * z[1] * z[1]]
 
@@ -169,12 +166,6 @@ def _assert_healthy(d, expected_class):
     for key, val in d.two_path.items():
         assert val <= sm.TWO_PATH_TOL[key], (key, val)
     assert rec.classify(d).classification == expected_class
-
-
-SEGRE = sm.ImmersionCase(
-    "segre_cp1xcp1", 2, amb.fubini_study(4.0, 3), _chart_segre,
-    ((-1.0, 1.0),) * 4, sm.PARALLEL,
-)
 
 
 def _vector_curvature(c, g, J, X, Y, Z):
@@ -204,7 +195,27 @@ def _vector_curvature(c, g, J, X, Y, Z):
 CURVED = [
     (sm.get_case("veronese_cp2"), [0.3, -0.6]),
     (SEGRE, [0.3, -0.2, 0.1, 0.4]),
+    (QUADRIC_Q3, [0.2, -0.1, 0.3, 0.15, -0.25, 0.1]),
 ]
+
+
+def _jet_curvature_term(geo, normal):
+    """Reference for ``PointGeometry._ambient_curvature``: the closed form
+    evaluated on the Gram jet's order-1 jets, each slot pairing broadcast
+    onto the axes of its two slots."""
+    nu = geo.nu
+    zw = slice(nu, None) if normal else slice(None, nu)
+    gram_P, gram_K = geo.gram_jet
+
+    def cross(M):
+        M = M[:, zw]
+        return {(1, 2): M[None, :, :, None], (0, 3): M[:, None, None, :],
+                (0, 2): M[:, None, :, None], (1, 3): M[None, :, None, :]}
+
+    P, K = cross(gram_P), cross(gram_K)
+    K[1, 0] = gram_K[:, :nu].T[:, :, None, None]
+    K[2, 3] = (geo.J_nor_jet.T if normal else gram_K[:, :nu])[None, None]
+    return amb.curvature_operator(geo.c, P, K)
 
 
 class TestAmbientCurvatureTerm:
@@ -241,6 +252,22 @@ class TestAmbientCurvatureTerm:
             for part in (jet_values, jet_gradient):
                 assert np.abs(part(want)).max() >= 0.1
                 assert np.abs(part(got) - part(want)).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("case, u", CURVED)
+    def test_probes_match_jet_evaluation(self, case, u):
+        # The float probes give the value and first partials that the
+        # closed form gives on order-1 jets: it is quadratic in the
+        # pairings, so the central difference is exact up to round-off.
+        geo = sm.PointGeometry(case, u)
+        for normal in (True, False):
+            want = _jet_curvature_term(geo, normal)
+            got = geo._ambient_curvature(normal)
+            assert got.order == want.order == 1
+            assert np.array_equal(jet_values(got), jet_values(want))
+            for part in (jet_values, jet_gradient):
+                assert np.abs(part(want)).max() >= 0.1
+                assert np.abs(part(got) - part(want)).max() <= 1e-13
 
 
 class TestJetOrders:

@@ -5,6 +5,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+from extra_cases import SEGRE
+
 from kaehlerlab import ambient as amb
 from kaehlerlab import submanifold as sm
 
@@ -16,16 +18,6 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _chart_segre(z):
-    return [z[0], z[1], z[0] * z[1]]
-
-
-SEGRE = sm.ImmersionCase(
-    "segre_cp1xcp1", 2, amb.fubini_study(4.0, 3), _chart_segre,
-    ((-1.0, 1.0),) * 4, sm.PARALLEL,
-)
 
 
 def test_segre_point_spans():
