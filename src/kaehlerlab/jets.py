@@ -406,32 +406,94 @@ def einsum(spec: str, *operands):
 
     Operands are folded left to right, keeping at each step the indices a
     later operand or the output still needs; ``...`` broadcasts as in numpy.
-    A float operand contracts with the coefficients directly; two jet
-    operands are truncated to the lower of their orders, gather the
-    coefficient pairs of that order's product table, contract over the
-    indices in one ``np.einsum`` with the pairs as a batch axis, and sum the
-    pairs into coefficients.
+    The fold is planned once per spec and operand count.  A float operand
+    contracts with the coefficients directly, in one ``np.einsum``.  Two jet
+    operands are truncated to the lower of their orders and multiplied as
+    one batched matmul (``_pair_plan``): each gathers, along a leading axis,
+    its coefficients of the pairs in that order's product table, and the
+    indices are sorted into batch, free and contracted ones, so that every
+    pair and batch entry is one (free_a, contracted) @ (contracted, free_b)
+    product.  ``np.add.reduceat`` then sums the pairs into coefficients.
+    ``...`` becomes batch or free indices like any other, so a leading axis
+    of points rides on the same matmul.  A step the matmul cannot express
+    (an index repeated in one operand, or summed in only one, or
+    broadcast from size 1) takes one ``np.einsum`` over the pairs instead.
     """
-    ins, out = spec.replace(" ", "").replace("...", "*").split("->")
-    subs = ins.split(",")
-    if len(subs) != len(operands):
-        raise ValueError(f"{spec!r} needs {len(subs)} operands, "
-                         f"got {len(operands)}")
-    # Free letters for the coefficient and the product-pair axes.
-    k, p = [ch for ch in string.ascii_letters if ch not in spec][:2]
+    subs, steps, k, p = _fold_plan(spec, len(operands))
     acc, acc_sub = operands[0], subs[0]
     if len(operands) == 1:
-        return _contract(acc, acc_sub, None, None, out, k, p)
-    for pos in range(1, len(operands)):
-        if pos == len(operands) - 1:
-            keep = out
-        else:
-            later = "".join(subs[pos + 1:]) + out
-            keep = "".join(dict.fromkeys(
-                ch for ch in acc_sub + subs[pos] if ch in later))
-        acc = _contract(acc, acc_sub, operands[pos], subs[pos], keep, k, p)
+        return _contract(acc, acc_sub, None, None, steps[0], k, p)
+    for operand, sub, keep in zip(operands[1:], subs[1:], steps):
+        acc = _contract(acc, acc_sub, operand, sub, keep, k, p)
         acc_sub = keep
     return acc
+
+
+@lru_cache(maxsize=None)
+def _fold_plan(spec: str, count: int):
+    """The subscripts of ``einsum``'s operands (``...`` written ``*``), the
+    subscripts each fold step keeps, and two free letters for the
+    coefficient and product-pair axes of its ``np.einsum`` steps."""
+    ins, out = spec.replace(" ", "").replace("...", "*").split("->")
+    subs = ins.split(",")
+    if len(subs) != count:
+        raise ValueError(f"{spec!r} needs {len(subs)} operands, got {count}")
+    steps = []
+    for pos in range(1, count - 1):
+        later = "".join(subs[pos + 1:]) + out
+        acc_sub = steps[-1] if steps else subs[0]
+        steps.append("".join(dict.fromkeys(
+            ch for ch in acc_sub + subs[pos] if ch in later)))
+    steps.append(out)
+    k, p = [ch for ch in string.ascii_letters if ch not in spec][:2]
+    return tuple(subs), tuple(steps), k, p
+
+
+def _expand(sub: str, ndim: int, width: int) -> list:
+    """Indices of an operand with ``ndim`` axes: its letters, with ``*``
+    turned into the last of ``width`` fresh batch indices."""
+    if "*" not in sub:
+        return list(sub)
+    at, rank = sub.index("*"), ndim - len(sub) + 1
+    return [*sub[:at], *((None, j) for j in range(width - rank, width)),
+            *sub[at + 1:]]
+
+
+@lru_cache(maxsize=None)
+def _pair_plan(sa: str, sb: str, so: str, shape_a: tuple, shape_b: tuple):
+    """How ``sa,sb->so`` runs as a batched matmul on jets of the given
+    shapes, or None when it cannot.  Indices in both operands and the
+    output are batch indices, in both operands only contracted, in one
+    operand free.  Returns the axis orders that bring the coefficient axis
+    first, then (batch, free_a, contracted) and (batch, contracted,
+    free_b); the matrix sizes; the shape of the product before the pairs
+    are summed; and the axis order that turns it into ``so`` plus the
+    coefficient axis."""
+    if ("*" in sa + sb) != ("*" in so):
+        return None
+    width = max((len(shape) - len(sub) + 1 for sub, shape in
+                 ((sa, shape_a), (sb, shape_b)) if "*" in sub), default=0)
+    ia, ib = _expand(sa, len(shape_a), width), _expand(sb, len(shape_b), width)
+    io = _expand(so, width + len(so) - 1, width)
+    size, size_b = dict(zip(ia, shape_a)), dict(zip(ib, shape_b))
+    if (len(ia) != len(shape_a) or len(ib) != len(shape_b)
+            or any(len(set(s)) < len(s) for s in (ia, ib, io))
+            or any(size[x] != size_b[x] for x in size.keys() & size_b)
+            or not size.keys() ^ size_b <= set(io) <= size.keys() | size_b
+            or 0 in shape_a + shape_b):
+        return None
+    size.update(size_b)
+    batch = [x for x in io if x in ia and x in ib]
+    free_a = [x for x in ia if x not in ib]
+    free_b = [x for x in ib if x not in ia]
+    summed = [x for x in ia if x in ib and x not in io]
+    order = batch + free_a + free_b
+    dims = [math.prod(size[x] for x in group)
+            for group in (free_a, summed, free_b)]
+    return ((len(ia), *(ia.index(x) for x in batch + free_a + summed)),
+            (len(ib), *(ib.index(x) for x in batch + summed + free_b)),
+            tuple(dims), tuple(size[x] for x in order),
+            (*(1 + order.index(x) for x in io), 0))
 
 
 def _contract(a, sa: str, b, sb, so: str, k: str, p: str):
@@ -451,9 +513,17 @@ def _contract(a, sa: str, b, sb, so: str, k: str, p: str):
             raise ValueError(f"jet variable counts differ: {a.n} vs {b.n}")
         ac, bc = _common(a.c, b.c)
         left, right, starts = _mul_table(a.n, _order_of(a.n, ac))
-        pairs = np_einsum(f"{sa}{p},{sb}{p}->{so}{p}",
-                          ac[..., left], bc[..., right])
-        return Jet._wrap(a.n, np.add.reduceat(pairs, starts, axis=-1))
+        plan = _pair_plan(sa, sb, so, ac.shape[:-1], bc.shape[:-1])
+        if plan is None:
+            pairs = np_einsum(f"{sa}{p},{sb}{p}->{so}{p}",
+                              ac[..., left], bc[..., right])
+            return Jet._wrap(a.n, np.add.reduceat(pairs, starts, axis=-1))
+        perm_a, perm_b, (fa, cs, fb), shape, perm_out = plan
+        x = ac.transpose(perm_a)[left].reshape(-1, fa, cs)
+        y = bc.transpose(perm_b)[right].reshape(-1, cs, fb)
+        pairs = np.matmul(x, y).reshape(-1, *shape)
+        return Jet._wrap(a.n, np.add.reduceat(pairs, starts, axis=0)
+                         .transpose(perm_out))
     if a_jet:
         return Jet._wrap(a.n, np_einsum(f"{sa}{k},{sb}->{so}{k}", a.c, b))
     if b_jet:

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import ambient as amb
 from .jets import (
+    DIVISION_FLOOR,
     ComplexJet,
     Jet,
     einsum,
@@ -318,21 +319,22 @@ class PointGeometry:
 
     def _build_tangent(self):
         self.T_jet = jet_partials(self.F)
-        sv = np.linalg.svd(jet_values(self.T_jet), compute_uv=False)
-        if sv.min() < RANK_TOL:
-            raise DegeneratePointError(
-                f"{self.case.name}: differential rank-deficient at u={self.u}"
-            )
         self.T_low = einsum("iA,AB->iB", self.T_jet, self.g_amb_jet)
         g = einsum("iA,jA->ij", self.T_low, self.T_jet)
         # Exactly symmetric, so the Christoffel symbols are too.
         self.g_jet = (g + g.T) * 0.5
-        try:  # g, quadratic in T, can fall below the floor past the gate
-            self.g_inv_jet = jet_matrix_inverse(self.g_jet)
-        except ZeroDivisionError as exc:
+        # g, quadratic in T, can fall below the inverse's floor while T
+        # passes RANK_TOL: one gate on both, one message.
+        sv_T, sv_g = (np.linalg.svd(jet_values(x), compute_uv=False).min()
+                      for x in (self.T_jet, self.g_jet))
+        if sv_T < RANK_TOL or sv_g < DIVISION_FLOOR:
             raise DegeneratePointError(
-                f"{self.case.name}: induced metric singular at u={self.u}"
-            ) from exc
+                f"{self.case.name}: differential rank-deficient at "
+                f"u={self.u}: smallest singular value of T {sv_T:.3e} "
+                f"(RANK_TOL {RANK_TOL:g}), of g {sv_g:.3e} "
+                f"(DIVISION_FLOOR {DIVISION_FLOOR:g})"
+            )
+        self.g_inv_jet = jet_matrix_inverse(self.g_jet)
         dg = jet_partials(self.g_jet)  # [i, j, k] = d_i g_jk
         low = dg + einsum("jik->ijk", dg) - einsum("kij->ijk", dg)
         self.gamma_jet = einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)
@@ -601,8 +603,10 @@ def extrinsic_data(case: ImmersionCase, u, normal_seed_mix=None) -> ExtrinsicDat
 
 
 def _orthonormalize_axes(arr: np.ndarray, axes, Q: np.ndarray) -> np.ndarray:
+    """``arr`` with Q applied to each of ``axes``: one matmul per axis, on
+    a view that swaps the axis to the end and back."""
     for ax in axes:
-        arr = np.moveaxis(np.tensordot(arr, Q, axes=([ax], [0])), -1, ax)
+        arr = (arr.swapaxes(ax, -1) @ Q).swapaxes(ax, -1)
     return arr
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from kaehlerlab import ambient as amb
 from kaehlerlab import cli
 from kaehlerlab import submanifold as sm
-from kaehlerlab.jets import jet_partials, jet_values
+from kaehlerlab.jets import DIVISION_FLOOR, jet_partials, jet_values
 
 
 def run_cli(argv):
@@ -155,7 +156,8 @@ class TestRun:
     def test_singular_metric_point_is_skipped(self):
         # (z^3, z^4) at u = (1.8e-4, 0): the smallest singular value of T is
         # about 1e-7, above RANK_TOL, but g is about 1e-14, below the
-        # inverse's floor.  The point is a skipped entry, not a traceback.
+        # inverse's floor.  The point is a skipped entry, not a traceback,
+        # with the rank gate's message stating both singular values.
         case = sm.ImmersionCase(
             "graph_z3_z4_c2", 1, amb.flat(2),
             lambda z: [z[0] * z[0] * z[0], z[0] * z[0] * z[0] * z[0]],
@@ -168,7 +170,10 @@ class TestRun:
         assert not failed and not mismatched
         (point,) = report["points"]
         assert point["u"] == [1.8e-4, 0.0]
-        assert "induced metric singular" in point["skipped"]
+        assert "differential rank-deficient" in point["skipped"]
+        assert f"of T {sv.min():.3e}" in point["skipped"]
+        sv_g = re.search(r"of g (\S+) \(DIVISION_FLOOR", point["skipped"])
+        assert float(sv_g.group(1)) < DIVISION_FLOOR
         assert "internal_error" not in point
         assert report["aggregates"]["skipped_points"] == 1
 

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from kaehlerlab.jets import (
     ComplexJet,
     Jet,
+    _pair_plan,
     einsum,
     extract,
     fd_oracle,
@@ -413,12 +414,26 @@ class TestOracle:
                 assert np.array_equal(a[idx].derivative(i).c, want)
                 assert np.array_equal(partials.c[(i,) + idx], want)
 
-    @settings(max_examples=40, deadline=None)
+    # One spec per step class of the lowering to a batched matmul (a batch
+    # index kept; batch, contracted and free indices mixed; a pure outer
+    # product; ``...``), and a repeated index, which falls back to
+    # ``np.einsum``, each with operand shapes that take that class.
+    _STEPS = {
+        "ij,ij->ij": ((2, 3), (2, 3)),
+        "ikA,jlA->ijkl": ((2, 3, 4), (2, 3, 4)),
+        "i,j->ij": ((2,), (3,)),
+        "...A,AB->...B": ((2, 3, 4), (4, 2)),
+        "ii,i->i": ((3, 3), (3,)),
+    }
+
+    @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["ij,jk->ik", "ijk,kj->ji", "ij,jk,kl->li",
-                            "i,ij,j->", "ij,ik,il->jkl"]),
+                            "i,ij,j->", "ij,ik,il->jkl", *_STEPS]),
            st.sampled_from([2, 4]), st.data())
     def test_einsum(self, spec, n, data):
-        ins, out = spec.split("->")
+        # ``...`` stands for 0 to 2 letters of the oracle's own.
+        ellipsis = "xy"[:data.draw(st.integers(0, 2))]
+        ins, out = spec.replace("...", ellipsis).split("->")
         subs = ins.split(",")
         dims = {ch: data.draw(st.integers(1, 3))
                 for ch in sorted(set(ins) - {","})}
@@ -448,6 +463,13 @@ class TestOracle:
         assert got.shape == tuple(dims[ch] for ch in out)
         for key, poly in want.items():
             assert np.array_equal(got.c[key], _coeffs(poly, n))
+
+    @pytest.mark.parametrize("spec", _STEPS)
+    def test_lowering_classes(self, spec):
+        # Two jets run as one batched matmul, except at a repeated index.
+        ins, out = spec.replace("...", "*").split("->")
+        plan = _pair_plan(*ins.split(","), out, *self._STEPS[spec])
+        assert (plan is None) == (spec == "ii,i->i")
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([2, 4]), st.integers(1, 3), st.data())

@@ -344,6 +344,42 @@ class TestFrameCovariance:
                 assert abs(d1.two_path[key] - d2.two_path[key]) <= 1e-9
 
 
+def _norm_squared(arr, slots, g, g_inv):
+    """Squared norm of ``arr`` with the metric on each slot: g^-1 on a lower
+    tangent index ("t"), g on an upper one ("u"), the identity on a normal
+    one ("n"), contracted with ``np.einsum`` (no Cholesky factor)."""
+    left, right = "abcdefg"[:arr.ndim], "ABCDEFG"[:arr.ndim]
+    operands, subs = [arr, arr], [left, ""]
+    for x, y, kind in zip(left, right, slots):
+        if kind == "n":
+            subs[1] += x
+            continue
+        subs[1] += y
+        operands.append(g_inv if kind == "t" else g)
+        subs.append(x + y)
+    return np.einsum(",".join(subs) + "->", *operands, optimize=True)
+
+
+class TestTensorNorms:
+    SLOTS = {"b": "ntt", "nabla_b": "tntt", "nabla_A": "tnut",
+             "r_perp": "ttnn", "nabla_r_perp": "tttnn", "r": "tttt",
+             "nabla_r": "ttttt"}
+
+    @pytest.mark.parametrize("case", [sm.get_case("veronese_cp2"), SEGRE,
+                                      QUADRIC_Q3], ids=lambda c: c.name)
+    def test_matches_metric_contraction(self, case):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            d = sm.extrinsic_data(case, rng.uniform(-0.6, 0.6, 2 * case.m))
+            norms = sm.tensor_norms(d)
+            assert set(norms) == set(self.SLOTS)
+            for key, slots in self.SLOTS.items():
+                want = np.sqrt(_norm_squared(getattr(d, key), slots, d.g,
+                                             d.g_inv))
+                assert norms[key] == pytest.approx(want, rel=1e-12, abs=0), (
+                    case.name, key)
+
+
 class TestCurvature:
     def test_veronese_sectional(self):
         rng = np.random.default_rng(23)
