@@ -213,14 +213,11 @@ class _Evaluator:
         return lhs, rhs
 
     def eq_2_4_tangent(self):
-        # nabla_X (J Y) = J nabla_X Y on frame fields: J_tan is parallel.
+        # (nabla_X J) Y = 0 on frame fields: J_tan is parallel.
         d = self.d
-        nJ = (
-            d.dJ_tan.transpose(0, 2, 1)
-            + np.einsum("kit,tj->ijk", d.gamma, d.J_tan)
-            - np.einsum("tij,kt->ijk", d.gamma, d.J_tan)
-        )
-        lhs = _contract(nJ, self.X, self.Y)
+        nJ = covariant_derivative(d.J_tan, d.dJ_tan, d.gamma, d.gamma_perp,
+                                  "ut")
+        lhs = _apply(_contract(nJ, self.X), self.Y)
         return lhs, np.zeros_like(lhs)
 
     def eq_2_4_normal(self):
@@ -236,14 +233,11 @@ class _Evaluator:
         return lhs, rhs
 
     def eq_2_5_normal(self):
-        # D_X (J xi) = J D_X xi on frame fields: J_nor is parallel.
+        # (D_X J) xi = 0 on frame fields: J_nor is parallel.
         d = self.d
-        nJ = (
-            d.dJ_nor.transpose(0, 2, 1)
-            + np.einsum("bci,ca->iab", d.gamma_perp, d.J_nor)
-            - np.einsum("cai,bc->iab", d.gamma_perp, d.J_nor)
-        )
-        lhs = _contract(nJ, self.X, self.xi)
+        nJ = covariant_derivative(d.J_nor, d.dJ_nor, d.gamma, d.gamma_perp,
+                                  "nn")
+        lhs = _apply(_contract(nJ, self.X), self.xi)
         return lhs, np.zeros_like(lhs)
 
     def eq_2_6(self):

@@ -680,21 +680,25 @@ class ComplexJet:
         )
 
 
-def jet_matrix_inverse(mat: Jet) -> Jet:
+def jet_matrix_inverse(mat: Jet, checked_value=None) -> Jet:
     """Inverse of a square matrix of jets by the truncated Neumann series.
 
     With G0 the value matrix and E = G - G0 its nilpotent part (no constant
     term, so E^(k+1) = 0 at order k), the inverse is exactly
     (G0 + E)^-1 = sum_{j<=k} (-G0^-1 E)^j G0^-1, summed only through the
     matrix's own order k.  Raises
-    ``ZeroDivisionError`` when G0 is singular.
+    ``ZeroDivisionError`` when G0 is singular.  A caller that has already
+    checked G0's smallest singular value against ``DIVISION_FLOOR`` passes
+    G0 as ``checked_value``, and the check is not repeated.
     """
     d = mat.shape[0] if mat.ndim else 0
     if mat.shape != (d, d):
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    g0 = jet_values(mat)
-    if not np.linalg.svd(g0, compute_uv=False).min() >= DIVISION_FLOOR:
-        raise ZeroDivisionError("jet matrix is singular at this point")
+    g0 = checked_value
+    if g0 is None:
+        g0 = jet_values(mat)
+        if not np.linalg.svd(g0, compute_uv=False).min() >= DIVISION_FLOOR:
+            raise ZeroDivisionError("jet matrix is singular at this point")
     inv0 = np.linalg.inv(g0)
     step = einsum("ij,jk->ik", -inv0, mat - g0)  # -G0^-1 E
     eye = np.eye(d)
@@ -718,11 +722,12 @@ def jet_gradient(arr: Jet) -> np.ndarray:
     """
     if arr.order == 0:
         raise ValueError("an order-0 jet has no gradient")
-    return np.moveaxis(arr.c[..., 1:arr.n + 1], -1, 0).copy()
+    return arr.c[..., 1:arr.n + 1].transpose(-1, *range(arr.ndim)).copy()
 
 
 def jet_partials(arr: Jet) -> Jet:
     """Partial derivatives of a jet array, as jets of one order less,
     indexed ``[i, *arr.shape]``: the jet counterpart of ``jet_gradient``,
     and one gather over the coefficients."""
-    return Jet._wrap(arr.n, np.moveaxis(_partials(arr, slice(None)), -2, 0))
+    c = _partials(arr, slice(None)).transpose(-2, *range(arr.ndim), -1)
+    return Jet._wrap(arr.n, c)

@@ -250,17 +250,22 @@ def covariant_derivative(T, dT, gamma, gamma_perp, slots) -> np.ndarray:
     lower tangent index, "u" an upper tangent index, "n" a normal index.
     The normal frame is orthonormal and gamma_perp antisymmetric, so upper
     and lower normal indices transform alike.
+
+    Each slot is one matmul: its connection matrices, stacked over the
+    directions s, times T with the slot's axis swapped to the front and the
+    rest flattened: the two operands ``np.tensordot`` would form.
     """
-    # conn[kind][s, x, y]: coefficient of T[..y..] in (nabla_s T)[..x..].
+    # conn[kind][(s, x), y]: coefficient of T[..y..] in (nabla_s T)[..x..].
     conn = {
-        "t": -gamma.transpose(1, 2, 0),
-        "u": gamma.transpose(1, 0, 2),
-        "n": -gamma_perp.transpose(2, 1, 0),
+        "t": -gamma.transpose(1, 2, 0).reshape(-1, len(gamma)),
+        "u": gamma.transpose(1, 0, 2).reshape(-1, len(gamma)),
+        "n": -gamma_perp.transpose(2, 1, 0).reshape(-1, len(gamma_perp)),
     }
     out = np.array(dT, dtype=float)
     for axis, kind in enumerate(slots):
-        term = np.tensordot(conn[kind], T, axes=([2], [axis]))
-        out += np.moveaxis(term, 1, axis + 1)
+        Ts = T.swapaxes(axis, 0)
+        term = conn[kind] @ Ts.reshape(len(Ts), -1)
+        out += term.reshape(out.shape[:1] + Ts.shape).swapaxes(1, axis + 1)
     return out
 
 
@@ -297,6 +302,11 @@ class PointGeometry:
 
     def _build_ambient_along_immersion(self):
         self.F = self.case.map_jets(self.u)
+        if not np.isfinite(self.F.c).all():
+            raise DegeneratePointError(
+                f"{self.case.name}: chart not finite at u={self.u}: the "
+                f"Taylor coefficients of F hold NaN or inf"
+            )
         # Every use of the ambient metric also involves the tangent frame
         # (order 2) or what is derived from it, so it is needed to order 2
         # only; the connection enters only beside first partials (order 1).
@@ -325,16 +335,17 @@ class PointGeometry:
         self.g_jet = (g + g.T) * 0.5
         # g, quadratic in T, can fall below the inverse's floor while T
         # passes RANK_TOL: one gate on both, one message.
-        sv_T, sv_g = (np.linalg.svd(jet_values(x), compute_uv=False).min()
-                      for x in (self.T_jet, self.g_jet))
-        if sv_T < RANK_TOL or sv_g < DIVISION_FLOOR:
+        g0 = jet_values(self.g_jet)
+        sv_T, sv_g = (np.linalg.svd(x, compute_uv=False).min()
+                      for x in (jet_values(self.T_jet), g0))
+        if not (sv_T >= RANK_TOL and sv_g >= DIVISION_FLOOR):
             raise DegeneratePointError(
                 f"{self.case.name}: differential rank-deficient at "
                 f"u={self.u}: smallest singular value of T {sv_T:.3e} "
                 f"(RANK_TOL {RANK_TOL:g}), of g {sv_g:.3e} "
                 f"(DIVISION_FLOOR {DIVISION_FLOOR:g})"
             )
-        self.g_inv_jet = jet_matrix_inverse(self.g_jet)
+        self.g_inv_jet = jet_matrix_inverse(self.g_jet, checked_value=g0)
         dg = jet_partials(self.g_jet)  # [i, j, k] = d_i g_jk
         low = dg + einsum("jik->ijk", dg) - einsum("kij->ijk", dg)
         self.gamma_jet = einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)

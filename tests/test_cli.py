@@ -177,6 +177,22 @@ class TestRun:
         assert "internal_error" not in point
         assert report["aggregates"]["skipped_points"] == 1
 
+    def test_non_finite_chart_is_skipped(self):
+        # A chart whose jets hold NaN once failed to converge in the rank
+        # gate's SVD and escaped run_case as LinAlgError.
+        case = sm.ImmersionCase(
+            "nan_c2", 1, amb.flat(2), lambda z: [z[0], z[0] * float("nan")],
+            ((-1.0, 1.0), (-1.0, 1.0)), sm.GENERIC)
+        report, failed, mismatched = cli.run_case(
+            case, cli.RunConfig(points=3), len(sm.CATALOG))
+        assert not failed and not mismatched
+        assert len(report["points"]) == 3
+        for point in report["points"]:
+            assert "chart not finite" in point["skipped"]
+            assert "NaN or inf" in point["skipped"]
+            assert "checks" not in point and "internal_error" not in point
+        assert report["aggregates"]["skipped_points"] == 3
+
     def test_text_format(self, capsys):
         code = run_cli([
             "run", "--case", "linear_c2", "--points", "2",

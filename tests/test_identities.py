@@ -74,6 +74,20 @@ class TestNegativeControls:
         assert by_id["eq_2_1_duality"]["residual"] >= 1e-4
         assert not by_id["eq_2_1_duality"]["passed"]
 
+    @pytest.mark.parametrize("field, check", [("dJ_tan", "eq_2_4_tangent"),
+                                              ("dJ_nor", "eq_2_5_normal")])
+    def test_perturbed_j_derivative_breaks_parallel_j(self, field, check):
+        # The covariant derivative of J is assembled from its partials, so a
+        # perturbed partial must show in the check that J is parallel.
+        data = sm.extrinsic_data(SEGRE, [0.3, -0.2, 0.1, 0.4])
+        noise = 1e-3 * np.random.default_rng(47).uniform(
+            -1, 1, getattr(data, field).shape)
+        bad = replace(data, **{field: getattr(data, field) + noise})
+        clean, broken = ({r["id"]: r for r in idn.run_identity_suite(
+            d, rng_seed=11)}[check] for d in (data, bad))
+        assert clean["passed"] and clean["residual"] <= 1e-13
+        assert not broken["passed"] and broken["residual"] >= 1e-5
+
     def test_tolerance_override_flips_verdict(self):
         results = suite_for(
             "veronese_cp2", [0.4, 0.4], tolerances={"eq_2_14": 1e-18}

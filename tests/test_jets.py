@@ -274,6 +274,13 @@ class TestMatrixInverse:
                 target = 1.0 if i == j else 0.0
                 assert acc.value == pytest.approx(target, abs=1e-13)
 
+    def test_checked_value_gives_the_same_inverse(self):
+        x = seed_variable(0, 0.2, 2)
+        y = seed_variable(1, 0.1, 2)
+        mat = stack([stack([2.0 + x * x, x * y]), stack([x * y, 1.0 + y * y])])
+        checked = jet_matrix_inverse(mat, checked_value=jet_values(mat))
+        assert checked == jet_matrix_inverse(mat)
+
     def test_singular_matrix(self):
         zero = Jet(1)
         with pytest.raises(ZeroDivisionError):

@@ -380,6 +380,82 @@ class TestTensorNorms:
                     case.name, key)
 
 
+def _textbook_covariant_derivative(T, dT, gamma, gamma_perp, slots):
+    """d_s T plus one ``np.einsum`` per slot: -Gamma^y_{s x} T[..y..] on a
+    lower tangent slot, +Gamma^x_{s y} T[..y..] on an upper one and
+    -<n_y, D_s n_x> T[..y..] on a normal one."""
+    letters = "abcdefg"[:T.ndim]
+    out = np.array(dT, dtype=float)
+    for pos, (x, kind) in enumerate(zip(letters, slots)):
+        moved = letters[:pos] + "y" + letters[pos + 1:]
+        conn, sign, sub = {"t": (gamma, -1.0, f"ys{x}"),
+                           "u": (gamma, 1.0, f"{x}sy"),
+                           "n": (gamma_perp, -1.0, f"y{x}s")}[kind]
+        out += sign * np.einsum(f"{sub},{moved}->s{letters}", conn, T)
+    return out
+
+
+def _tensordot_covariant_derivative(T, dT, gamma, gamma_perp, slots):
+    """The former kernel: one ``tensordot`` and one ``moveaxis`` per slot."""
+    conn = {"t": -gamma.transpose(1, 2, 0), "u": gamma.transpose(1, 0, 2),
+            "n": -gamma_perp.transpose(2, 1, 0)}
+    out = np.array(dT, dtype=float)
+    for axis, kind in enumerate(slots):
+        term = np.tensordot(conn[kind], T, axes=([2], [axis]))
+        out += np.moveaxis(term, 1, axis + 1)
+    return out
+
+
+def _covariant_inputs(source):
+    """(gamma, gamma_perp, {slots: (T, dT)}) for every slot string: the
+    tensors of a case's point, or random ones for a pair (nu, p)."""
+    rng = np.random.default_rng(29)
+    if isinstance(source, tuple):
+        nu, p = source
+        gamma = rng.uniform(-1, 1, (nu, nu, nu))
+        gp = rng.uniform(-1, 1, (p, p, nu))
+        gp = gp - gp.transpose(1, 0, 2)
+        shapes = {"ntt": (p, nu, nu), "nut": (p, nu, nu),
+                  "ttnn": (nu, nu, p, p), "tttt": (nu,) * 4, "ut": (nu, nu),
+                  "nn": (p, p), "t": (nu,)}
+        tensors = {k: rng.uniform(-1, 1, v) for k, v in shapes.items()}
+    else:
+        d = sm.extrinsic_data(source, rng.uniform(-0.6, 0.6, 2 * source.m))
+        nu, gamma, gp = 2 * d.m, d.gamma, d.gamma_perp
+        tensors = {"ntt": d.b, "nut": d.A, "ttnn": d.r_perp, "tttt": d.r,
+                   "ut": d.J_tan, "nn": d.J_nor, "t": d.g[0]}
+    return gamma, gp, {k: (T, rng.uniform(-1, 1, (nu,) + T.shape))
+                       for k, T in tensors.items()}
+
+
+class TestCovariantDerivative:
+    SOURCES = {"segre": SEGRE, "q3": QUADRIC_Q3, "random_m2": (4, 2),
+               "random_m3": (6, 2), "random_m3_l2": (6, 4)}
+
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+    def test_matches_textbook_and_former_kernel(self, source):
+        gamma, gp, inputs = _covariant_inputs(source)
+        assert set(inputs) == {"ntt", "nut", "ttnn", "tttt", "ut", "nn", "t"}
+        for slots, (T, dT) in inputs.items():
+            got = sm.covariant_derivative(T, dT, gamma, gp, slots)
+            assert got.shape == dT.shape
+            want = _textbook_covariant_derivative(T, dT, gamma, gp, slots)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14,
+                                       err_msg=slots)
+            former = _tensordot_covariant_derivative(T, dT, gamma, gp, slots)
+            assert np.array_equal(got, former), slots
+
+    def test_slot_kinds_are_told_apart(self):
+        # With as many normal as tangent directions every slot string fits
+        # every tensor, so a kind read for another shows in the oracle.
+        gamma, gp, inputs = _covariant_inputs((4, 4))
+        T, dT = inputs["nut"]
+        got = sm.covariant_derivative(T, dT, gamma, gp, "nut")
+        for wrong in ("ntt", "nuu", "tut", "nun"):
+            assert not np.allclose(got, _textbook_covariant_derivative(
+                T, dT, gamma, gp, wrong)), wrong
+
+
 class TestCurvature:
     def test_veronese_sectional(self):
         rng = np.random.default_rng(23)
