@@ -16,7 +16,9 @@ quadratic form in the pairings of its four slots.  Metric components are
 produced as jets of the chart point, so differentiating them
 (``christoffel_from_metric``) gives an independent reference for the
 closed-form connection, and differentiating that connection once more
-(``curvature_from_connection``) one for the closed-form curvature.
+(``curvature_from_connection``) one for the closed-form curvature.  Its two
+kernels, ``levi_civita`` and ``connection_curvature``, serve the induced and
+normal connections of a submanifold too.
 """
 
 from __future__ import annotations
@@ -101,17 +103,22 @@ def metric(model: AmbientModel, x: Jet) -> Jet:
     return scale * np.eye(d) - einsum("sA,sB->AB", V * (scale * inv_rho), V)
 
 
+def levi_civita(G: Jet, G_inv: Jet) -> Jet:
+    """Gamma^k_{ij} of a symmetric jet-valued metric ``G`` with inverse
+    ``G_inv``, indexed ``[k, i, j]``; jet variable i is coordinate i."""
+    dG = jet_partials(G)  # [i, j, k] = d_i G_jk
+    low = dG + einsum("jik->ijk", dG) - einsum("kij->ijk", dG)
+    return einsum("kt,ijt->kij", G_inv, low * 0.5)
+
+
 def christoffel_from_metric(G: Jet) -> Jet:
     """Levi-Civita symbols of a jet-valued metric given in the chart ring.
 
-    Jet variable A is chart coordinate A.  Returns a jet indexed
-    ``[C, A, B]`` for Gamma^C_{AB}, exactly symmetric in (A, B): the
-    metric is symmetrized first.
+    Returns a jet indexed ``[C, A, B]`` for Gamma^C_{AB}, exactly symmetric
+    in (A, B): the metric is symmetrized first.
     """
     G = (G + G.T) * 0.5
-    dG = jet_partials(G)  # [A, B, C] = d_A G_BC
-    low = dG + einsum("BAD->ABD", dG) - einsum("DAB->ABD", dG)
-    return einsum("CD,ABD->CAB", jet_matrix_inverse(G), low * 0.5)
+    return levi_civita(G, jet_matrix_inverse(G))
 
 
 def christoffel(model: AmbientModel, x) -> np.ndarray:
@@ -182,17 +189,24 @@ def curvature_operator(c: float, P, K):
     ) * (c / 4.0)
 
 
+def connection_curvature(w, dw) -> np.ndarray:
+    """Curvature of the connection matrices ``w[i]`` (float, ``[i, x, y]``),
+    with ``dw[i, j]`` = d_i w_j: F_ij = d_i w_j - d_j w_i + [w_i, w_j],
+    indexed ``[i, j, x, y]``."""
+    half = dw + np.einsum("ixs,jsy->ijxy", w, w)
+    return half - half.transpose(1, 0, 2, 3)
+
+
 def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
     """Curvature by differentiating the connection: the second, independent path.
 
     Returns the components R^D_{CAB} of R(e_A, e_B)e_C = R^D_{CAB} e_D.
     """
     Gamma = christoffel(model, seed_point(x))
-    Gval = jet_values(Gamma)
-    # half[D, C, A, B] = d_A Gamma^D_BC + Gamma^D_As Gamma^s_BC
-    half = (np.einsum("ADBC->DCAB", jet_gradient(Gamma))
-            + np.einsum("DAs,sBC->DCAB", Gval, Gval))
-    return half - half.transpose(0, 1, 3, 2)
+    # w_A[D, C] = Gamma^D_{AC}, and d_A w_B[D, C] = d_A Gamma^D_{BC}.
+    F = connection_curvature(jet_values(Gamma).transpose(1, 0, 2),
+                             np.einsum("ADBC->ABDC", jet_gradient(Gamma)))
+    return F.transpose(2, 3, 0, 1)
 
 
 def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:

@@ -196,6 +196,7 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
             },
         }
         point_reports.append(entry)
+    evaluated = n_skipped < len(points)  # else nothing matched or measured
     report = {
         "name": case.name,
         "ambient": {
@@ -209,10 +210,12 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
             "max_residual_per_check": agg_residual,
             "max_residual": max(agg_residual.values()) if agg_residual else 0.0,
             "expected_class": expected,
-            "all_classifications_matched": not any_mismatch,
+            "all_classifications_matched":
+                not any_mismatch if evaluated else None,
             "skipped_points": n_skipped,
             "max_shape_determinant": max_det,
-            "all_shape_operators_singular": bool(max_det <= 1e-12),
+            "all_shape_operators_singular":
+                bool(max_det <= 1e-12) if evaluated else None,
         },
     }
     return report, any_check_failed, any_mismatch

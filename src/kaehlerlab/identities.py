@@ -19,12 +19,15 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import curvature_operator
 from .submanifold import ExtrinsicData, covariant_derivative
+
+#: Random tuples of tangent and normal vectors each check runs on per point.
+N_TUPLES = 8
 
 
 @dataclass(frozen=True)
@@ -380,28 +383,19 @@ def _draw_tuples(rng, n_tuples: int, nu: int, p: int) -> list:
     return np.split(flat, [nu, 2 * nu, 3 * nu, 4 * nu, 4 * nu + p], axis=1)
 
 
-def run_identity_suite(
-    data: ExtrinsicData,
-    rng_seed: int,
-    n_tuples: int = 8,
-    tolerances=None,
-    b_override=None,
-) -> list:
+def run_identity_suite(data: ExtrinsicData, rng_seed: int,
+                       tolerances=None) -> list:
     """All registry checks on one point; returns a list of result dicts.
 
-    Each check is evaluated once, on all ``n_tuples`` random tuples of four
+    Each check is evaluated once, on all ``N_TUPLES`` random tuples of four
     tangent and two normal vectors with components uniform in [-1, 1]; the
     reported residual is the worst of the per-tuple residuals.
     ``tolerances`` maps identity ids to replacement tolerances.
-    ``b_override`` substitutes the stored second fundamental form
-    (negative-control hook).
     """
     rng = np.random.default_rng(rng_seed)
-    if b_override is not None:
-        data = replace(data, b=np.asarray(b_override, float))
-    ev = _Evaluator(data, _draw_tuples(rng, n_tuples, 2 * data.m, 2 * data.l))
+    ev = _Evaluator(data, _draw_tuples(rng, N_TUPLES, 2 * data.m, 2 * data.l))
     worst = _worst_residuals(
-        [getattr(ev, chk.identity_id)() for chk in REGISTRY], n_tuples)
+        [getattr(ev, chk.identity_id)() for chk in REGISTRY], N_TUPLES)
     results = []
     for chk, res in zip(REGISTRY, worst.tolist()):
         tol = chk.tolerance

@@ -33,7 +33,7 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -113,15 +113,16 @@ class ImmersionCase:
 
     def map_jets(self, u) -> Jet:
         """Real chart coordinates of F(u) as a jet of shape ``(d,)`` in the
-        parameter ring."""
+        parameter ring; non-finite coefficients raise no warning here."""
         nu = 2 * self.m
         u = np.asarray(u, dtype=float)
         if u.shape != (nu,):
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
         seeds = seed_point(u)
         z = [ComplexJet(seeds[2 * a], seeds[2 * a + 1]) for a in range(self.m)]
-        return stack([part for comp in self.chart(z)
-                      for part in (comp.re, comp.im)])
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            w = self.chart(z)
+        return stack([part for comp in w for part in (comp.re, comp.im)])
 
     def map_values(self, u) -> np.ndarray:
         """F(u) as floats; the chart runs unchanged on Python complex."""
@@ -234,10 +235,10 @@ def normalized_residual(p1, p2) -> float:
     return float(d / (1.0 + max(a, b)))
 
 
-def _probes(jet: Jet) -> np.ndarray:
-    """Float probes of a jet array on a new leading axis: its values, then
-    value + d_s for each variable s, then value - d_s for each s."""
-    v, d = jet_values(jet), jet_gradient(jet)
+def _probes(v, d) -> np.ndarray:
+    """Float probes of a jet array with values ``v`` and first partials
+    ``d``, on a new leading axis: v, then v + d_s for each variable s, then
+    v - d_s for each s."""
     return np.concatenate([v[None], v + d, v - d])
 
 
@@ -270,10 +271,15 @@ def covariant_derivative(T, dT, gamma, gamma_perp, slots) -> np.ndarray:
 
 
 class PointGeometry:
-    """One-shot computation of the full extrinsic package at a point."""
+    """One-shot computation of the full extrinsic package at a point.
+
+    Each stage reads the floats of the jets it builds once, and stores them
+    under their ``ExtrinsicData`` field names; later stages read those.
+    """
 
     def __init__(self, case: ImmersionCase, u, normal_seed_mix=None):
         self.case = case
+        self.case_name = case.name
         self.u = np.asarray(u, dtype=float)
         self.m = case.m
         self.l = case.l
@@ -313,6 +319,7 @@ class PointGeometry:
         self.g_amb_jet = amb.metric(self.case.ambient, self.F.truncate(2))
         self.connection_amb = amb.connection(self.case.ambient,
                                              self.F.truncate(1))
+        self.g_amb = jet_values(self.g_amb_jet)
         self.gamma_amb = amb.connection_tensor(self.case.ambient,
                                                jet_values(self.F))
 
@@ -335,9 +342,9 @@ class PointGeometry:
         self.g_jet = (g + g.T) * 0.5
         # g, quadratic in T, can fall below the inverse's floor while T
         # passes RANK_TOL: one gate on both, one message.
-        g0 = jet_values(self.g_jet)
+        self.T, self.g = jet_values(self.T_jet), jet_values(self.g_jet)
         sv_T, sv_g = (np.linalg.svd(x, compute_uv=False).min()
-                      for x in (jet_values(self.T_jet), g0))
+                      for x in (self.T, self.g))
         if not (sv_T >= RANK_TOL and sv_g >= DIVISION_FLOOR):
             raise DegeneratePointError(
                 f"{self.case.name}: differential rank-deficient at "
@@ -345,10 +352,11 @@ class PointGeometry:
                 f"(RANK_TOL {RANK_TOL:g}), of g {sv_g:.3e} "
                 f"(DIVISION_FLOOR {DIVISION_FLOOR:g})"
             )
-        self.g_inv_jet = jet_matrix_inverse(self.g_jet, checked_value=g0)
-        dg = jet_partials(self.g_jet)  # [i, j, k] = d_i g_jk
-        low = dg + einsum("jik->ijk", dg) - einsum("kij->ijk", dg)
-        self.gamma_jet = einsum("kt,ijt->kij", self.g_inv_jet, low * 0.5)
+        self.g_inv_jet = jet_matrix_inverse(self.g_jet, checked_value=self.g)
+        self.gamma_jet = amb.levi_civita(self.g_jet, self.g_inv_jet)
+        self.g_inv, self.gamma = (jet_values(self.g_inv_jet),
+                                  jet_values(self.gamma_jet))
+        self.dg = jet_gradient(self.g_jet)
 
     # -- adapted normal frame ------------------------------------------------
 
@@ -385,12 +393,12 @@ class PointGeometry:
             )
         self.N_jet = stack(normals)
         self.N_low = einsum("aA,AB->aB", self.N_jet, G)
-        T, N = jet_values(self.T_jet), jet_values(self.N_jet)
-        g_amb = jet_values(G)
+        self.N = jet_values(self.N_jet)
+        NG = self.N @ self.g_amb
         self.frame_residuals = {
             "normal_orthonormality":
-                float(np.abs(N @ g_amb @ N.T - np.eye(p)).max()),
-            "normal_tangency": float(np.abs(N @ g_amb @ T.T).max()),
+                float(np.abs(NG @ self.N.T - np.eye(p)).max()),
+            "normal_tangency": float(np.abs(NG @ self.T.T).max()),
         }
 
     # -- complex structure in the adapted frames -----------------------------
@@ -399,10 +407,9 @@ class PointGeometry:
         JT = einsum("AB,jB->Aj", self.J_amb, self.T_jet)  # column j: J d/du^j
         self.J_tan_jet = einsum("jA,Ak,ij->ik", self.T_low, JT, self.g_inv_jet)
         # J-invariance of the tangent space: JT_j must lie in the span.
-        worst = float(np.abs(
-            jet_values(JT)
-            - jet_values(self.T_jet).T @ jet_values(self.J_tan_jet)
-        ).max())
+        self.J_tan, self.dJ_tan = (jet_values(self.J_tan_jet),
+                                   jet_gradient(self.J_tan_jet))
+        worst = float(np.abs(jet_values(JT) - self.T.T @ self.J_tan).max())
         self.frame_residuals["tangent_j_invariance"] = worst
         if worst > J_INVARIANCE_TOL:
             raise DegeneratePointError(
@@ -411,12 +418,17 @@ class PointGeometry:
             )
         self.J_nor_jet = einsum("AB,bB,aA->ab", self.J_amb, self.N_jet,
                                 self.N_low)
+        self.J_nor, self.dJ_nor = (jet_values(self.J_nor_jet),
+                                   jet_gradient(self.J_nor_jet))
         if self.c != 0.0:
             # Gram jet <(T, JT)_i, (T, N)_x>: every pairing the closed-form
-            # ambient curvature reads (see ``_ambient_curvature``).
-            self.gram_jet = einsum("siA,xA->six",
-                                   stack([self.T_jet, JT.T]).truncate(1),
-                                   stack([*self.T_low, *self.N_low]))
+            # ambient curvature reads (see ``_ambient_curvature``), and its
+            # float probes, indexed [s, probe, i, x].
+            gram = self.gram_jet = einsum(
+                "siA,xA->six", stack([self.T_jet, JT.T]).truncate(1),
+                stack([*self.T_low, *self.N_low]))
+            self.gram_probes = np.moveaxis(
+                _probes(jet_values(gram), jet_gradient(gram)), 1, 0)
 
     # -- second fundamental form and shape operators --------------------------
 
@@ -434,12 +446,14 @@ class PointGeometry:
         self.b_jet = einsum("ijA,aA->aij", self.b_low_jet, self.N_jet)
         # A[a, k, j] = b[a, j, t] g^tk
         self.A_jet = einsum("ajt,tk->akj", self.b_jet, self.g_inv_jet)
+        self.b, self.db = jet_values(self.b_jet), jet_gradient(self.b_jet)
+        self.A = jet_values(self.A_jet)
 
     # -- normal connection ----------------------------------------------------
 
     def _build_normal_connection(self):
         self.gamma_perp_jet = einsum("aA,ibA->abi", self.N_low, self.DN_jet)
-        gp = jet_values(self.gamma_perp_jet)
+        gp = self.gamma_perp = jet_values(self.gamma_perp_jet)
         self.frame_residuals["gamma_perp_antisymmetry"] = float(
             np.abs(gp + gp.transpose(1, 0, 2)).max()
         )
@@ -447,18 +461,15 @@ class PointGeometry:
     # -- covariant derivatives of b and A --------------------------------------
 
     def _build_covariant_derivatives(self):
-        gam = jet_values(self.gamma_jet)
-        gp = jet_values(self.gamma_perp_jet)
-        self.nabla_b = covariant_derivative(
-            jet_values(self.b_jet), jet_gradient(self.b_jet), gam, gp, "ntt"
-        )
+        gam, gp = self.gamma, self.gamma_perp
+        self.nabla_b = covariant_derivative(self.b, self.db, gam, gp, "ntt")
 
         # Independent route: ambient derivative of the vector-valued form,
         # then projection onto the normal frame.  Only its value is needed,
         # so it is assembled in floats with the ambient connection at F(u).
         bv = jet_values(self.b_vec_jet)
         # [i, C, B] = Gamma^C_{AB} T_i^A, then paired with b_vec[j, k, B].
-        GT = np.tensordot(jet_values(self.T_jet), self.gamma_amb, ([1], [1]))
+        GT = np.tensordot(self.T, self.gamma_amb, ([1], [1]))
         w = (
             jet_gradient(self.b_vec_jet)
             + bv @ GT.transpose(0, 2, 1)[:, None]
@@ -468,9 +479,8 @@ class PointGeometry:
         nb2 = np.einsum("ijkA,aA->iajk", w, jet_values(self.N_low))
         self._gate("two_path_nabla_b", self.nabla_b, nb2)
 
-        self.nabla_A = covariant_derivative(
-            jet_values(self.A_jet), jet_gradient(self.A_jet), gam, gp, "nut"
-        )
+        self.nabla_A = covariant_derivative(self.A, jet_gradient(self.A_jet),
+                                            gam, gp, "nut")
 
     # -- ambient curvature ------------------------------------------------------
 
@@ -485,7 +495,7 @@ class PointGeometry:
         those differences are the value and first partials of the jet."""
         nu = self.nu
         zw = slice(nu, None) if normal else slice(None, nu)
-        gram_P, gram_K = np.moveaxis(_probes(self.gram_jet), 1, 0)
+        gram_P, gram_K = self.gram_probes
 
         def cross(M):  # pairings of the slots X, Y with Z, W
             M = M[..., zw]
@@ -496,7 +506,7 @@ class PointGeometry:
 
         P, K = cross(gram_P), cross(gram_K)
         K[1, 0] = gram_K[..., :nu].swapaxes(1, 2)[..., None, None]
-        K[2, 3] = (_probes(self.J_nor_jet).swapaxes(1, 2) if normal
+        K[2, 3] = (_probes(self.J_nor, self.dJ_nor).swapaxes(1, 2) if normal
                    else gram_K[..., :nu])[:, None, None]
         R = amb.curvature_operator(self.c, P, K)
         half = (R[1:nu + 1] - R[nu + 1:]) * 0.5
@@ -505,9 +515,6 @@ class PointGeometry:
     # -- normal curvature -------------------------------------------------------
 
     def _build_normal_curvature(self):
-        gp = jet_values(self.gamma_perp_jet)
-        gam = jet_values(self.gamma_jet)
-
         # Route 1: ambient curvature plus shape-operator commutator,
         # g([A_a, A_b] d_i, d_j), kept as jets so the covariant derivative of
         # the normal curvature can be differentiated from it.
@@ -518,29 +525,26 @@ class PointGeometry:
             rp1 = rp1 + self._ambient_curvature(normal=True)
         rp1_val = jet_values(rp1)
 
-        # Route 2: curvature of the normal connection coefficients,
-        # d_i gp_j - d_j gp_i + [gp_i, gp_j] as matrices [b, a].
-        half = (np.einsum("ibaj->ijab", jet_gradient(self.gamma_perp_jet))
-                + np.einsum("bci,caj->ijab", gp, gp))
-        self.r_perp = half - half.transpose(1, 0, 2, 3)
+        # Route 2: curvature of the normal connection matrices
+        # w_i[b, a] = gamma_perp[b, a, i], transposed to [i, j, a, b].
+        self.r_perp = amb.connection_curvature(
+            self.gamma_perp.transpose(2, 0, 1),
+            np.einsum("ibaj->ijba", jet_gradient(self.gamma_perp_jet)),
+        ).swapaxes(2, 3)
         self._gate("two_path_r_perp", rp1_val, self.r_perp)
 
         self.nabla_r_perp = covariant_derivative(
-            rp1_val, jet_gradient(rp1), gam, gp, "ttnn"
-        )
+            rp1_val, jet_gradient(rp1), self.gamma, self.gamma_perp, "ttnn")
 
     # -- intrinsic curvature ------------------------------------------------------
 
     def _build_intrinsic_curvature(self):
-        gam = jet_values(self.gamma_jet)
-        gp = jet_values(self.gamma_perp_jet)
-
-        # Route 1: d_i gam_j - d_j gam_i + [gam_i, gam_j] as matrices [t, k],
-        # then the upper index lowered with g.
-        half = (np.einsum("itjk->ijtk", jet_gradient(self.gamma_jet))
-                + np.einsum("tis,sjk->ijtk", gam, gam))
-        r1 = np.einsum("ijtk,tl->ijkl", half - half.transpose(1, 0, 2, 3),
-                       jet_values(self.g_jet))
+        # Route 1: curvature of the connection matrices w_i[t, k] =
+        # Gamma^t_ik, then the upper index lowered with g.
+        F = amb.connection_curvature(
+            self.gamma.transpose(1, 0, 2),
+            np.einsum("itjk->ijtk", jet_gradient(self.gamma_jet)))
+        r1 = np.einsum("ijtk,tl->ijkl", F, self.g)
 
         # Route 2: ambient curvature minus products of the vector-valued
         # second fundamental form, kept as jets for the derivative below.
@@ -553,8 +557,7 @@ class PointGeometry:
         self._gate("two_path_r", r1, r2_val)
         self.r = r1
 
-        b = jet_values(self.b_jet)
-        nb = self.nabla_b
+        b, nb = self.b, self.nabla_b
         # Derivative of the curvature via products of b with its covariant
         # derivative; the ambient contribution is parallel and drops out.
         # Of the four product terms, the two subtracted ones are the added
@@ -564,45 +567,20 @@ class PointGeometry:
         nrA = P - P.swapaxes(3, 4)
         # Cross-check: coordinate covariant derivative of the jet-valued
         # curvature from route 2.
-        nrB = covariant_derivative(r2_val, jet_gradient(r2), gam, gp, "tttt")
+        nrB = covariant_derivative(r2_val, jet_gradient(r2), self.gamma,
+                                   self.gamma_perp, "tttt")
         self._gate("two_path_nabla_r", nrA, nrB)
         self.nabla_r = nrA
 
     # -- assembled output -----------------------------------------------------------
 
     def data(self) -> ExtrinsicData:
-        return ExtrinsicData(
-            case_name=self.case.name,
-            u=self.u.copy(),
-            m=self.m,
-            l=self.l,
-            c=self.c,
-            g=jet_values(self.g_jet),
-            g_inv=jet_values(self.g_inv_jet),
-            dg=jet_gradient(self.g_jet),
-            gamma=jet_values(self.gamma_jet),
-            T=jet_values(self.T_jet),
-            N=jet_values(self.N_jet),
-            J_tan=jet_values(self.J_tan_jet),
-            J_nor=jet_values(self.J_nor_jet),
-            dJ_tan=jet_gradient(self.J_tan_jet),
-            dJ_nor=jet_gradient(self.J_nor_jet),
-            b=jet_values(self.b_jet),
-            db=jet_gradient(self.b_jet),
-            A=jet_values(self.A_jet),
-            gamma_perp=jet_values(self.gamma_perp_jet),
-            nabla_b=self.nabla_b,
-            nabla_A=self.nabla_A,
-            r_perp=self.r_perp,
-            nabla_r_perp=self.nabla_r_perp,
-            r=self.r,
-            nabla_r=self.nabla_r,
-            g_amb=jet_values(self.g_amb_jet),
-            J_amb=self.J_amb,
-            gamma_amb=self.gamma_amb,
-            two_path=dict(self.two_path),
-            frame_residuals=dict(self.frame_residuals),
-        )
+        """The stored fields; ``u`` and the residual dicts as copies."""
+        own = {"u": self.u.copy(), "two_path": dict(self.two_path),
+               "frame_residuals": dict(self.frame_residuals)}
+        return ExtrinsicData(**{
+            f.name: own[f.name] if f.name in own else getattr(self, f.name)
+            for f in fields(ExtrinsicData)})
 
 
 def extrinsic_data(case: ImmersionCase, u, normal_seed_mix=None) -> ExtrinsicData:

@@ -241,6 +241,40 @@ class TestCurvature:
                 assert K == pytest.approx(model.c, abs=1e-8)
 
 
+class TestConnectionCurvature:
+    """``connection_curvature`` on 4 directions of 3 x 3 matrices, so that a
+    swapped direction or matrix index changes the result."""
+
+    def test_constant_matrices_give_commutators(self):
+        w = np.random.default_rng(61).uniform(-1, 1, (4, 3, 3))
+        F = amb.connection_curvature(w, np.zeros((4, 4, 3, 3)))
+        for i in range(4):
+            for j in range(4):
+                assert np.allclose(F[i, j], w[i] @ w[j] - w[j] @ w[i],
+                                   rtol=0, atol=1e-15)
+        assert np.abs(F[0, 1]).max() >= 0.1
+
+    def test_commuting_values_give_antisymmetrized_derivative(self):
+        # w_j(u) = D_j + sum_i u^i C_ij at u = 0: diagonal, so commuting,
+        # values D_j, and partials d_i w_j = C_ij of full 3 x 3 matrices.
+        rng = np.random.default_rng(67)
+        D = np.stack([np.diag(row) for row in rng.uniform(-1, 1, (4, 3))])
+        C = rng.uniform(-1, 1, (4, 4, 3, 3))
+        F = amb.connection_curvature(D, C)
+        for i in range(4):
+            for j in range(4):
+                assert np.allclose(F[i, j], C[i, j] - C[j, i],
+                                   rtol=0, atol=1e-15)
+        assert np.abs(F[0, 1]).max() >= 0.1
+
+    def test_antisymmetric_in_directions(self):
+        rng = np.random.default_rng(71)
+        F = amb.connection_curvature(rng.uniform(-1, 1, (4, 3, 3)),
+                                     rng.uniform(-1, 1, (4, 4, 3, 3)))
+        assert np.array_equal(F, -F.transpose(1, 0, 2, 3))
+        assert np.abs(F).max() >= 0.1
+
+
 class TestKaehlerCheck:
     def test_flat_exact(self):
         report = amb.check_kaehler(amb.flat(2), [0.1, 0.2, 0.3, 0.4])

@@ -152,6 +152,9 @@ class TestRun:
             }
             assert "two_path_r" in point["skipped"]
             assert "checks" not in point
+        # No point was evaluated, so nothing matched and nothing was singular.
+        assert case["aggregates"]["all_classifications_matched"] is None
+        assert case["aggregates"]["all_shape_operators_singular"] is None
 
     def test_singular_metric_point_is_skipped(self):
         # (z^3, z^4) at u = (1.8e-4, 0): the smallest singular value of T is
@@ -177,11 +180,14 @@ class TestRun:
         assert "internal_error" not in point
         assert report["aggregates"]["skipped_points"] == 1
 
-    def test_non_finite_chart_is_skipped(self):
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_chart_is_skipped(self, value):
         # A chart whose jets hold NaN once failed to converge in the rank
-        # gate's SVD and escaped run_case as LinAlgError.
+        # gate's SVD and escaped run_case as LinAlgError; one that multiplies
+        # by inf once raised its RuntimeWarning out of run_case.
         case = sm.ImmersionCase(
-            "nan_c2", 1, amb.flat(2), lambda z: [z[0], z[0] * float("nan")],
+            f"{value}_c2", 1, amb.flat(2),
+            lambda z: [z[0], z[0] * float(value)],
             ((-1.0, 1.0), (-1.0, 1.0)), sm.GENERIC)
         report, failed, mismatched = cli.run_case(
             case, cli.RunConfig(points=3), len(sm.CATALOG))
@@ -191,7 +197,10 @@ class TestRun:
             assert "chart not finite" in point["skipped"]
             assert "NaN or inf" in point["skipped"]
             assert "checks" not in point and "internal_error" not in point
-        assert report["aggregates"]["skipped_points"] == 3
+        agg = report["aggregates"]
+        assert agg["skipped_points"] == 3
+        assert agg["all_classifications_matched"] is None
+        assert agg["all_shape_operators_singular"] is None
 
     def test_text_format(self, capsys):
         code = run_cli([

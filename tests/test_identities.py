@@ -68,7 +68,7 @@ class TestNegativeControls:
         noise = 1e-3 * rng.uniform(-1, 1, data.b.shape)
         noise = (noise + np.swapaxes(noise, 1, 2)) / 2.0
         results = idn.run_identity_suite(
-            data, rng_seed=11, b_override=data.b + noise
+            replace(data, b=data.b + noise), rng_seed=11
         )
         by_id = {r["id"]: r for r in results}
         assert by_id["eq_2_1_duality"]["residual"] >= 1e-4
@@ -100,7 +100,7 @@ class TestNegativeControls:
         data = sm.extrinsic_data(sm.get_case("graph_z2_c2"), [0.5, 0.2])
         noise = 1e-3 * np.random.default_rng(43).uniform(-1, 1, data.b.shape)
         results = idn.run_identity_suite(
-            data, rng_seed=11, b_override=data.b + noise,
+            replace(data, b=data.b + noise), rng_seed=11,
             tolerances={"eq_2_1_duality": 1.0})
         for r in results:
             want = (1.0 if r["id"] == "eq_2_1_duality"
