@@ -7,13 +7,15 @@ pairs with real coordinates ``(u^{2a}, u^{2a+1})``; the complex structure
 rotates each pair by 90 degrees:  J e_{2a} = e_{2a+1},  J e_{2a+1} = -e_{2a}.
 
 Everything is written in closed form on the pairings <.,.> and <J.,.> of
-real chart vectors.  With x the chart point, rho = 1 + |x|^2 and k = 4/c,
-the Fubini-Study metric is (k/rho) I minus the rank-two term
-(k/rho^2)(x x^T + Jx Jx^T), and its Levi-Civita connection
-(``connection``, the same for every ``c``) pairs the vectors with x and
-Jx.  The curvature of a complex space form (``curvature_operator``) is a
-quadratic form in the pairings of its four slots.  Metric components are
-produced as jets of the chart point, so differentiating them
+real chart vectors.  With x the chart point, rho = 1 + |x|^2, k = 4/c and
+W = (x, Jx)/rho, the Fubini-Study metric is k/rho I minus the rank-two term
+k W^T W, and its Levi-Civita connection (the same for every ``c``) pairs
+the vectors with W.  ``metric`` forms W and 1/rho once per chart point and
+returns the metric jet, the connection on jet rows and the float
+Christoffel symbols, all three from those values (``Metric``).  The
+curvature of a complex space form (``curvature_operator``) is a quadratic
+form in the pairings of its four slots.  Metric components are produced as
+jets of the chart point, so differentiating them
 (``christoffel_from_metric``) gives an independent reference for the
 closed-form connection, and differentiating that connection once more
 (``curvature_from_connection``) one for the closed-form curvature.  Its two
@@ -24,6 +26,8 @@ normal connections of a submanifold too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .jets import (
     jet_partials,
     jet_values,
     seed_point,
-    stack,
 )
 
 FLAT = "flat"
@@ -67,47 +70,83 @@ def fubini_study(c: float, complex_dim: int) -> AmbientModel:
     return AmbientModel(kind=FUBINI_STUDY, c=float(c), complex_dim=complex_dim)
 
 
+@lru_cache(maxsize=None)
 def complex_structure(model: AmbientModel) -> np.ndarray:
-    """J in real chart coordinates; constant for both models."""
+    """J in real chart coordinates; constant for both models, so built once
+    per model, read-only."""
     d = model.real_dim
     J = np.zeros((d, d))
     for a in range(model.complex_dim):
         J[2 * a + 1, 2 * a] = 1.0
         J[2 * a, 2 * a + 1] = -1.0
+    J.flags.writeable = False
     return J
 
 
+@lru_cache(maxsize=None)
 def _with_j(model: AmbientModel) -> np.ndarray:
-    """(I, J) stacked: contracted with a vector U it gives (U, JU)."""
-    return np.stack([np.eye(model.real_dim), complex_structure(model)])
+    """(I, J) stacked, read-only: contracted with a vector U it gives
+    (U, JU)."""
+    IJ = np.stack([np.eye(model.real_dim), complex_structure(model)])
+    IJ.flags.writeable = False
+    return IJ
 
 
-def metric(model: AmbientModel, x: Jet) -> Jet:
-    """Metric components as a ``(d, d)`` jet at a chart point.
+class Metric(NamedTuple):
+    """The ambient metric at a chart point and the connection it determines:
+    the components ``g``, a ``(d, d)`` jet; ``connection``, taking jet or
+    float rows Y (shape ``(q, d)``) and a count p to Gamma(Y_i, Y_b) for the
+    first p rows and every row, indexed ``[i, b, C]`` (``None`` for flat
+    space); and the floats Gamma^C_{AB} at the point, ``[C, A, B]``."""
 
-    ``x`` is the chart point as a jet of shape ``(real_dim,)``.  For
-    Fubini-Study, with k = 4/c and rho = 1 + |x|^2,
+    g: Jet
+    connection: Callable | None
+    christoffel: np.ndarray
 
-        g = (k/rho) (I - (x x^T + Jx Jx^T) / rho),
 
-    the real form of the Hermitian components k (rho d_ab - wbar_a w_b)/rho^2.
+def metric(model: AmbientModel, x: Jet) -> Metric:
+    """The metric at a chart point ``x``, a jet of shape ``(real_dim,)``.
+
+    For Fubini-Study, with k = 4/c, rho = 1 + |x|^2 and W = (x, Jx)/rho,
+
+        g = k (I/rho - W^T W),
+
+    the real form of the Hermitian components k (rho d_ab - wbar_a w_b)/rho^2,
+    and its Levi-Civita connection is
+
+        Gamma(X, Y) = -(<W_0, Y> X + <W_1, Y> JX + <W_0, X> Y + <W_1, X> JY),
+
+    the real form of -(X^a <wbar, Y> + Y^a <wbar, X>)/rho, free of ``c``.
+    W and 1/rho are formed once, at the order of ``x``, for all three fields;
+    the connection runs at the order of its rows (W truncated to it).
     """
     d = model.real_dim
     if len(x) != d:
         raise ValueError(f"chart point has {len(x)} components, expected {d}")
     if model.kind == FLAT:
-        return Jet.constant(np.eye(d), x.n).truncate(x.order)
-    V = einsum("sAB,B->sA", _with_j(model), x)  # (x, Jx)
+        return Metric(Jet.constant(np.eye(d), x.n).truncate(x.order), None,
+                      np.zeros((d, d, d)))
+    IJ = _with_j(model)
     inv_rho = (1.0 + (x * x).sum()).reciprocal()
-    scale = inv_rho * (4.0 / model.c)  # k/rho
-    return scale * np.eye(d) - einsum("sA,sB->AB", V * (scale * inv_rho), V)
+    W = einsum("sAB,B->sA", IJ, x) * inv_rho
+    g = (inv_rho * np.eye(d) - einsum("sA,sB->AB", W, W)) * (4.0 / model.c)
+
+    def connection(Y, p: int):
+        # Gamma(Y_i, Y_b) = -(M[i, b] + M[b, i]), M[i, b] = <W, Y_b> (Y_i, JY_i)
+        WY = einsum("sA,bA->sb", W, Y)
+        M = einsum("sb,siC->ibC", WY, einsum("sAB,iB->siA", IJ, Y))
+        return -(M[:p] + M.transpose(1, 0, 2)[:p])
+
+    # Gamma(e_A, e_B): the same M on the chart basis, from the values of W.
+    half = np.einsum("sCA,sB->CAB", IJ, jet_values(W))
+    return Metric(g, connection, -(half + half.transpose(0, 2, 1)))
 
 
 def levi_civita(G: Jet, G_inv: Jet) -> Jet:
     """Gamma^k_{ij} of a symmetric jet-valued metric ``G`` with inverse
     ``G_inv``, indexed ``[k, i, j]``; jet variable i is coordinate i."""
     dG = jet_partials(G)  # [i, j, k] = d_i G_jk
-    low = dG + einsum("jik->ijk", dG) - einsum("kij->ijk", dG)
+    low = dG + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
     return einsum("kt,ijt->kij", G_inv, low * 0.5)
 
 
@@ -123,48 +162,7 @@ def christoffel_from_metric(G: Jet) -> Jet:
 
 def christoffel(model: AmbientModel, x) -> np.ndarray:
     """Ambient Christoffel symbols Gamma^C_{AB} as jets at a chart point."""
-    return christoffel_from_metric(metric(model, x))
-
-
-def connection(model: AmbientModel, x):
-    """Closed-form Levi-Civita connection at chart point ``x``.
-
-    Returns a function taking the rows of X (shape ``(p, d)``) and of Y
-    (shape ``(q, d)``) to Gamma(X_i, Y_b) for every pair, indexed
-    ``[i, b, C]``, or ``None`` for flat space.  The point and the vectors
-    may be floats or jets.  For Fubini-Study, with rho = 1 + |x|^2,
-
-        Gamma(X, Y) = -(<x, Y> X + <Jx, Y> JX + <x, X> Y + <Jx, X> JY) / rho,
-
-    the real form of -(X^a <wbar, Y> + Y^a <wbar, X>)/rho; the constant
-    ``c`` scales the metric only, so it drops out.
-    """
-    if model.kind == FLAT:
-        return None
-    IJ = _with_j(model)
-    # (x, Jx)/rho: one reciprocal serves every pair.
-    W = einsum("sAB,B->sA", IJ, x) * (1.0 / (1.0 + (x * x).sum()))
-
-    def gamma(X, Y):
-        VX = einsum("sAB,iB->siA", IJ, X)  # (X_i, JX_i)
-        VY = einsum("sAB,bB->sbA", IJ, Y)
-        return -(einsum("sA,bA,siC->ibC", W, Y, VX)
-                 + einsum("sA,iA,sbC->ibC", W, X, VY))
-
-    return gamma
-
-
-def connection_tensor(model: AmbientModel, x) -> np.ndarray:
-    """Closed-form Gamma^C_{AB} at a float chart point, indexed ``[C, A, B]``."""
-    d = model.real_dim
-    if model.kind == FLAT:
-        return np.zeros((d, d, d))
-    x = np.asarray(x, float)
-    J = complex_structure(model)
-    # Gamma(e_A, e_B): the <x, e_B> e_A and <Jx, e_B> J e_A terms, then the
-    # same with A and B swapped.
-    half = np.einsum("CA,B->CAB", np.eye(d), x) + np.einsum("CA,B->CAB", J, J @ x)
-    return -(half + half.transpose(0, 2, 1)) / (1.0 + x @ x)
+    return christoffel_from_metric(metric(model, x).g)
 
 
 def curvature_operator(c: float, P, K):
@@ -212,7 +210,7 @@ def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
 def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
     """Closed-form curvature over the chart basis, as R^D_{CAB}."""
     d = model.real_dim
-    g = jet_values(metric(model, seed_point(x)))
+    g = jet_values(metric(model, seed_point(x)).g)
     Kg = complex_structure(model).T @ g  # <J e_A, e_B>
     # Slot s runs over the basis on axis s of [A, B, C, E].
     ix = np.ix_(*[np.arange(d)] * 4)
@@ -226,7 +224,7 @@ def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
 
 def holomorphic_sectional_curvature(model: AmbientModel, x, X) -> float:
     """g(R(X, JX)JX, X) / g(X, X)^2 using the differentiated-connection path."""
-    g = jet_values(metric(model, seed_point(x)))
+    g = jet_values(metric(model, seed_point(x)).g)
     J = complex_structure(model)
     R = curvature_from_connection(model, x)
     X = np.asarray(X, float)
@@ -241,7 +239,7 @@ def check_kaehler(model: AmbientModel, x, metric_perturbation=None) -> dict:
     ``metric_perturbation`` (a constant matrix added to the metric) exists
     for negative-control tests; failures are reported, never raised.
     """
-    G = metric(model, seed_point(x))
+    G = metric(model, seed_point(x)).g
     if metric_perturbation is not None:
         G = G + np.asarray(metric_perturbation, float)
     gval = jet_values(G)

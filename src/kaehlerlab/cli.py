@@ -207,13 +207,14 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
         },
         "points": point_reports,
         "aggregates": {
-            "max_residual_per_check": agg_residual,
-            "max_residual": max(agg_residual.values()) if agg_residual else 0.0,
+            "max_residual_per_check":
+                agg_residual if evaluated else dict.fromkeys(agg_residual),
+            "max_residual": max(agg_residual.values()) if evaluated else None,
             "expected_class": expected,
             "all_classifications_matched":
                 not any_mismatch if evaluated else None,
             "skipped_points": n_skipped,
-            "max_shape_determinant": max_det,
+            "max_shape_determinant": max_det if evaluated else None,
             "all_shape_operators_singular":
                 bool(max_det <= 1e-12) if evaluated else None,
         },
@@ -256,9 +257,11 @@ def render_text(report: dict) -> str:
     lines.append("-" * len(header))
     for case in report["cases"]:
         agg = case["aggregates"]
+        worst = agg["max_residual"]
         lines.append(
             f"{case['name']:<16}{case['ambient']['kind']:<14}"
-            f"{case['ambient']['c']:>6.2f}{agg['max_residual']:>16.3e}"
+            f"{case['ambient']['c']:>6.2f}"
+            f"{'None' if worst is None else format(worst, '.3e'):>16}"
             f"{str(agg['all_classifications_matched']):>10}"
             f"{agg['skipped_points']:>9}"
         )

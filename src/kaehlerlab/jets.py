@@ -306,15 +306,16 @@ class Jet:
 
     def _unit_series(self, coefs) -> "Jet":
         """sum_k coefs[k] e^k with e = self / a0 - 1 (a0 the value), through
-        this jet's order: e has no constant term, so its higher powers
-        vanish and are not formed."""
-        e = Jet._wrap(self.n, self.c / self.c[..., :1])
-        e.c[..., 0] = 0.0
-        series, power = e * coefs[1] + coefs[0], e
+        this jet's order, on coefficient arrays: e has no constant term, so
+        its higher powers vanish and are not formed."""
+        e = self.c / self.c[..., :1]
+        e[..., 0] = 0.0
+        series, power = e * coefs[1] + _lift(coefs[0], e.shape[-1]), e
+        left, right, starts = _mul_table(self.n, self.order)
         for coef in coefs[2:self.order + 1]:
-            power = power * e
+            power = np.add.reduceat(power[..., left] * e[..., right], starts, -1)
             series = series + power * coef
-        return series
+        return Jet._wrap(self.n, series)
 
     def reciprocal(self) -> "Jet":
         a0 = self.c[..., :1]

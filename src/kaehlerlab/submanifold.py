@@ -8,18 +8,19 @@ of the second fundamental form, of the shape operators, of the normal
 curvature and of the intrinsic curvature.
 
 Derivative bookkeeping is the delicate part.  All quantities are assembled
-in jet arithmetic over the immersion parameters alone: the ambient metric
-and the closed-form ambient connection are evaluated directly on the jets
-of F(u), so no ambient chart derivative is taken.  Each jet tensor is one
+in jet arithmetic over the immersion parameters alone: the ambient is
+evaluated once per point on the jets of F(u) (``ambient.metric``: the metric
+jet, the closed-form connection and its float Christoffel symbols), so no
+ambient chart derivative is taken.  Each jet tensor is one
 array-valued ``Jet``, built by broadcasting arithmetic and ``jets.einsum``.
 Each jet carries only the order its consumers read, since a derivative
 lowers the order by one and mixed-order arithmetic truncates to the lower
 order: F is order 3; the ambient metric (evaluated on F truncated to
-order 2), T, g, g^-1, N and J in both frames are order 2; the ambient
-connection (on F truncated to order 1), Gamma, b_vec and its lowered
-form, b, A, gamma_perp, the Gram jet of the frames and the curvature jets
-(rp1, r2, bb and the ambient curvature term, which is evaluated on float
-probes of the Gram jet) are order 1.
+order 2), T, g, g^-1 and N are order 2; the ambient connection (applied to
+the rows (T, N) truncated to order 1), Gamma, b_vec and its lowered form,
+b, A, gamma_perp, J in both frames, omega = <J d/du^i, d/du^j> and the
+curvature jets (rp1, r2, bb and the ambient curvature terms, which are
+evaluated on float probes of g, omega and J_nor) are order 1.
 Quantities whose derivative we take downstream are kept as jets; everything
 else is read off their coefficients (``jet_values``, ``jet_gradient``) and
 assembled with float array algebra, every covariant derivative through
@@ -231,8 +232,8 @@ class ExtrinsicData:
 def normalized_residual(p1, p2) -> float:
     """|p1 - p2|_inf / (1 + max(|p1|_inf, |p2|_inf))."""
     p1, p2 = np.asarray(p1, float), np.asarray(p2, float)
-    d, a, b = (np.abs(x).max(initial=0.0) for x in (p1 - p2, p1, p2))
-    return float(d / (1.0 + max(a, b)))
+    a, b = np.abs(p1).max(initial=0.0), np.abs(p2).max(initial=0.0)
+    return float(np.abs(p1 - p2).max(initial=0.0) / (1.0 + max(a, b)))
 
 
 def _probes(v, d) -> np.ndarray:
@@ -315,22 +316,11 @@ class PointGeometry:
             )
         # Every use of the ambient metric also involves the tangent frame
         # (order 2) or what is derived from it, so it is needed to order 2
-        # only; the connection enters only beside first partials (order 1).
-        self.g_amb_jet = amb.metric(self.case.ambient, self.F.truncate(2))
-        self.connection_amb = amb.connection(self.case.ambient,
-                                             self.F.truncate(1))
+        # only; the connection enters only beside first partials, so it runs
+        # on order-1 rows.
+        ambient = amb.metric(self.case.ambient, self.F.truncate(2))
+        self.g_amb_jet, self.connection_amb, self.gamma_amb = ambient
         self.g_amb = jet_values(self.g_amb_jet)
-        self.gamma_amb = amb.connection_tensor(self.case.ambient,
-                                               jet_values(self.F))
-
-    def _ambient_derivative(self, V: Jet) -> Jet:
-        """Ambient covariant derivative of the jet vectors ``V[b, A]``
-        (chart components) along each d/du^i, indexed ``[i, b, A]``."""
-        out = jet_partials(V)
-        if self.connection_amb is not None:
-            # One call covers every (d/du^i, V_b) pair.
-            out = out + self.connection_amb(self.T_jet, V)
-        return out
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
 
@@ -404,39 +394,37 @@ class PointGeometry:
     # -- complex structure in the adapted frames -----------------------------
 
     def _build_j_frames(self):
-        JT = einsum("AB,jB->Aj", self.J_amb, self.T_jet)  # column j: J d/du^j
-        self.J_tan_jet = einsum("jA,Ak,ij->ik", self.T_low, JT, self.g_inv_jet)
+        # Only values and first partials are read: order-1 truncations.
+        JT = einsum("AB,jB->jA", self.J_amb, self.T_jet.truncate(1))  # J d/du^j
+        # omega[i, j] = <J d/du^i, d/du^j>, then J_tan[k, j] = g^ki omega[j, i].
+        self.omega_jet = einsum("iA,jA->ij", JT, self.T_low.truncate(1))
+        self.J_tan_jet = einsum("ji,ki->kj", self.omega_jet,
+                                self.g_inv_jet.truncate(1))
         # J-invariance of the tangent space: JT_j must lie in the span.
         self.J_tan, self.dJ_tan = (jet_values(self.J_tan_jet),
                                    jet_gradient(self.J_tan_jet))
-        worst = float(np.abs(jet_values(JT) - self.T.T @ self.J_tan).max())
+        worst = float(np.abs(jet_values(JT) - self.J_tan.T @ self.T).max())
         self.frame_residuals["tangent_j_invariance"] = worst
         if worst > J_INVARIANCE_TOL:
             raise DegeneratePointError(
                 f"{self.case.name}: tangent space not J-invariant at "
                 f"u={self.u} (residual {worst:.3e})"
             )
-        self.J_nor_jet = einsum("AB,bB,aA->ab", self.J_amb, self.N_jet,
-                                self.N_low)
+        self.J_nor_jet = einsum("AB,bB,aA->ab", self.J_amb,
+                                self.N_jet.truncate(1), self.N_low.truncate(1))
         self.J_nor, self.dJ_nor = (jet_values(self.J_nor_jet),
                                    jet_gradient(self.J_nor_jet))
-        if self.c != 0.0:
-            # Gram jet <(T, JT)_i, (T, N)_x>: every pairing the closed-form
-            # ambient curvature reads (see ``_ambient_curvature``), and its
-            # float probes, indexed [s, probe, i, x].
-            gram = self.gram_jet = einsum(
-                "siA,xA->six", stack([self.T_jet, JT.T]).truncate(1),
-                stack([*self.T_low, *self.N_low]))
-            self.gram_probes = np.moveaxis(
-                _probes(jet_values(gram), jet_gradient(gram)), 1, 0)
 
     # -- second fundamental form and shape operators --------------------------
 
     def _build_second_fundamental_form(self):
-        # One ambient derivative of the rows (T, N) serves b here and the
-        # normal connection next.
+        # One ambient derivative of the rows (T, N) along each d/du^i serves
+        # b here and the normal connection next: one connection call.
         nu = self.nu
-        DTN = self._ambient_derivative(stack([*self.T_jet, *self.N_jet]))
+        TN = stack([*self.T_jet, *self.N_jet])
+        DTN = jet_partials(TN)
+        if self.connection_amb is not None:
+            DTN = DTN + self.connection_amb(TN.truncate(1), nu)
         self.DN_jet = DTN[:, nu:]
         self.b_vec_jet = (
             DTN[:, :nu] - einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
@@ -487,27 +475,32 @@ class PointGeometry:
     def _ambient_curvature(self, normal: bool) -> Jet:
         """Closed-form <R(d/du^i, d/du^j) Z_a, W_b> as order-1 jets, indexed
         ``[i, j, a, b]``, with Z, W the normal frame (``normal``, the Ricci
-        term) or the tangent frame (the Gauss term).  Each slot pairing is
-        an entry of the Gram jet, broadcast onto the axes of its two slots,
-        except <J n_a, n_b> = J_nor[b, a].  The closed form runs once, on
-        float probes of the pairings (``_probes``).  It is quadratic in them,
-        so f(v + d_s) - f(v - d_s) = 2 Df(v) d_s exactly: probe 0 and half
-        those differences are the value and first partials of the jet."""
-        nu = self.nu
-        zw = slice(nu, None) if normal else slice(None, nu)
-        gram_P, gram_K = self.gram_probes
+        term) or the tangent frame (the Gauss term).  The slot pairings are g
+        and omega on tangent slots, <J n_a, n_b> = J_nor[b, a] on normal ones
+        and exact zeros between them: N is G-orthogonal to T, and JT lies in
+        the span of T (``frame_residuals`` bound both), so the Ricci term
+        forms only the 2 <JY, X><JZ, W> product.  The closed form runs once,
+        on float probes of the pairings (``_probes``).  It is quadratic in
+        them, so f(v + d_s) - f(v - d_s) = 2 Df(v) d_s exactly: probe 0 and
+        half those differences are the value and first partials."""
+        nu, w = self.nu, self.omega_jet
+        omega = _probes(jet_values(w), jet_gradient(w))  # [probe, i, j]
+        K = {(1, 0): omega.swapaxes(1, 2)[..., None, None]}
+        if normal:
+            P = dict.fromkeys([(1, 2), (0, 3), (0, 2), (1, 3)], 0.0)
+            K.update(P)
+            J_nor = _probes(self.J_nor, self.dJ_nor).swapaxes(1, 2)
+            K[2, 3] = J_nor[:, None, None]
+        else:
+            def cross(M):  # pairings of the slots X, Y with Z, W
+                return {(1, 2): M[:, None, :, :, None],
+                        (0, 3): M[:, :, None, None, :],
+                        (0, 2): M[:, :, None, :, None],
+                        (1, 3): M[:, None, :, None, :]}
 
-        def cross(M):  # pairings of the slots X, Y with Z, W
-            M = M[..., zw]
-            return {(1, 2): M[:, None, :, :, None],
-                    (0, 3): M[:, :, None, None, :],
-                    (0, 2): M[:, :, None, :, None],
-                    (1, 3): M[:, None, :, None, :]}
-
-        P, K = cross(gram_P), cross(gram_K)
-        K[1, 0] = gram_K[..., :nu].swapaxes(1, 2)[..., None, None]
-        K[2, 3] = (_probes(self.J_nor, self.dJ_nor).swapaxes(1, 2) if normal
-                   else gram_K[..., :nu])[:, None, None]
+            P = cross(_probes(self.g, self.dg))
+            K.update(cross(omega))
+            K[2, 3] = omega[:, None, None]
         R = amb.curvature_operator(self.c, P, K)
         half = (R[1:nu + 1] - R[nu + 1:]) * 0.5
         return Jet(nu, np.moveaxis(np.concatenate([R[:1], half]), 0, -1))

@@ -61,7 +61,7 @@ def test_1_ambient_validity():
         for _ in range(5):
             x = rng.uniform(-1, 1, model.real_dim)
             want = jet_values(amb.christoffel(model, seed_point(x)))
-            got = amb.connection_tensor(model, x)
+            got = amb.metric(model, seed_point(x)).christoffel
             ok &= np.abs(got - want).max() <= 1e-12
     report("1 ambient validity (Hermitian, parallel J, curvature paths, "
            "holomorphic sectional curvature, closed-form connection)", ok)

@@ -54,24 +54,24 @@ def hermitian_metric(model, x):
 class TestMetricValues:
     def test_flat_identity(self):
         model = amb.flat(2)
-        g = jet_values(amb.metric(model, seed_point([0.3, -0.2, 0.9, 0.1])))
+        g = jet_values(amb.metric(model, seed_point([0.3, -0.2, 0.9, 0.1])).g)
         assert np.allclose(g, np.eye(4))
 
     def test_fubini_study_origin(self):
         model = amb.fubini_study(4.0, 2)
-        g = jet_values(amb.metric(model, seed_point([0.0] * 4)))
+        g = jet_values(amb.metric(model, seed_point([0.0] * 4)).g)
         assert np.allclose(g, np.eye(4), atol=1e-14)
 
     def test_fubini_study_dim1_real_axis(self):
         # At w = 1 with c = 4 the metric shrinks to (1 + |w|^2)^{-2} = 1/4.
         model = amb.fubini_study(4.0, 1)
-        g = jet_values(amb.metric(model, seed_point([1.0, 0.0])))
+        g = jet_values(amb.metric(model, seed_point([1.0, 0.0])).g)
         assert np.allclose(g, 0.25 * np.eye(2), atol=1e-14)
 
     def test_symmetric_positive_definite(self):
         for model in MODELS:
             for x in random_points(model, 5, 11):
-                g = jet_values(amb.metric(model, seed_point(x)))
+                g = jet_values(amb.metric(model, seed_point(x)).g)
                 assert np.allclose(g, g.T, atol=1e-14)
                 assert np.linalg.eigvalsh(g).min() > 0
 
@@ -82,7 +82,7 @@ class TestMetricValues:
             model = amb.fubini_study(c, N)
             for x in random_points(model, 5, 43):
                 want = hermitian_metric(model, seed_point(x)).c
-                got = amb.metric(model, seed_point(x)).c
+                got = amb.metric(model, seed_point(x)).g.c
                 assert got.shape == want.shape
                 assert (np.abs(got - want).max()
                         / (1.0 + np.abs(want).max())) <= 1e-12
@@ -112,7 +112,7 @@ class TestComplexStructure:
         for model in MODELS:
             J = amb.complex_structure(model)
             for x in random_points(model, 20, 3):
-                g = jet_values(amb.metric(model, seed_point(x)))
+                g = jet_values(amb.metric(model, seed_point(x)).g)
                 resid = np.abs(J.T @ g @ J - g).max() / (1 + np.abs(g).max())
                 assert resid <= 1e-10
 
@@ -136,7 +136,7 @@ class TestConnection:
         for model in CONNECTION_MODELS:
             for x in random_points(model, 5, 37):
                 want = jet_values(amb.christoffel(model, seed_point(x)))
-                got = amb.connection_tensor(model, x)
+                got = amb.metric(model, seed_point(x)).christoffel
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_closed_form_on_jets(self):
@@ -150,16 +150,28 @@ class TestConnection:
             for x in random_points(model, 2, 41):
                 seeds = seed_point(x)
                 want = amb.christoffel(model, seeds)
-                got = amb.connection(model, seeds)(basis, basis)  # [A, B, C]
+                got = amb.metric(model, seeds).connection(basis, d)  # [A, B, C]
                 diff = got.c[..., :n2] - want.transpose(1, 2, 0).c[..., :n2]
                 assert np.abs(diff).max() <= 1e-12
+
+    def test_connection_on_a_prefix_of_rows(self):
+        # Gamma(Y_i, Y_b) for the first p rows Y_i and every row Y_b, against
+        # the float Christoffel symbols of the same evaluation.
+        rng = np.random.default_rng(47)
+        for model in CONNECTION_MODELS[2:]:
+            d = model.real_dim
+            ambient = amb.metric(model, seed_point(rng.uniform(-1, 1, d)))
+            Y = rng.uniform(-1, 1, (5, d))
+            got = jet_values(ambient.connection(Y, 3))
+            want = np.einsum("CAB,iA,bB->ibC", ambient.christoffel, Y[:3], Y)
+            assert np.abs(got - want).max() <= 1e-12
 
     def test_metric_compatibility(self):
         model = amb.fubini_study(4.0, 2)
         d = model.real_dim
         for x in random_points(model, 5, 7):
             seeds = seed_point(x)
-            G = amb.metric(model, seeds)
+            G = amb.metric(model, seeds).g
             Gam = amb.christoffel_from_metric(G)
             gval = jet_values(G)
             Gval = jet_values(Gam)
@@ -179,7 +191,7 @@ class TestConnection:
 class TestCurvature:
     def test_flat_closed_form_zero(self):
         model = amb.flat(2)
-        g = jet_values(amb.metric(model, seed_point([0.1, 0.2, 0.3, 0.4])))
+        g = jet_values(amb.metric(model, seed_point([0.1, 0.2, 0.3, 0.4])).g)
         basis = np.eye(4)
         # <R(e_0, e_1) e_2, W> for every basis vector W.
         V = np.stack(np.broadcast_arrays(basis[0], basis[1], basis[2], basis))
@@ -197,7 +209,7 @@ class TestCurvature:
             x = rng.uniform(-1, 1, 4)
             X = rng.uniform(-1, 1, 4)
             J = amb.complex_structure(model)
-            g = jet_values(amb.metric(model, seed_point(x)))
+            g = jet_values(amb.metric(model, seed_point(x)).g)
             JX = J @ X
             V = np.stack(np.broadcast_arrays(X, JX, JX, np.eye(4)))
             out = amb.curvature_operator(model.c, *slot_pairings(g, J, V))

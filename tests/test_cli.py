@@ -13,6 +13,7 @@ import pytest
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import cli
+from kaehlerlab import identities as idn
 from kaehlerlab import submanifold as sm
 from kaehlerlab.jets import DIVISION_FLOOR, jet_partials, jet_values
 
@@ -201,6 +202,13 @@ class TestRun:
         assert agg["skipped_points"] == 3
         assert agg["all_classifications_matched"] is None
         assert agg["all_shape_operators_singular"] is None
+        # No check ran, so no residual or determinant is reported either.
+        assert agg["max_residual"] is None
+        assert agg["max_shape_determinant"] is None
+        assert len(agg["max_residual_per_check"]) == len(idn.REGISTRY)
+        assert set(agg["max_residual_per_check"].values()) == {None}
+        row = cli.render_text({"cases": [report]}).splitlines()[-1]
+        assert row.split() == [case.name, "flat", "0.00", "None", "None", "3"]
 
     def test_text_format(self, capsys):
         code = run_cli([

@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from extra_cases import CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
+from extra_cases import CUBIC_SURFACE, CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
 
-from kaehlerlab import ambient as amb
 from kaehlerlab import cli
 from kaehlerlab import identities as idn
 from kaehlerlab import submanifold as sm
@@ -115,16 +114,6 @@ class TestNegativeControls:
         results = suite_for("graph_z2_c2", [0.5, 0.2], seed=11)
         by_id = {r["id"]: r for r in results}
         assert by_id["eq_2_1_duality"]["passed"]
-
-
-def _chart_cubic_surface(z):
-    return [z[0], z[1], z[0] * z[0] * z[1] + z[1] * z[1] * z[1]]
-
-
-CUBIC_SURFACE = sm.ImmersionCase(
-    "cubic_graph_c3", 2, amb.flat(3), _chart_cubic_surface,
-    ((-1.0, 1.0),) * 4, sm.GENERIC,
-)
 
 
 class TestComplexDimensionThree:

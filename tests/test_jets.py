@@ -100,6 +100,31 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             (seed_variable(0, 0.0, 1)).sqrt()
 
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_series_match_jet_operators_bit_for_bit(self, n, order):
+        # The reciprocal and the square root run their series on coefficient
+        # arrays; the same series written with the jet operators is the
+        # reference, to the last bit.
+        def operator_series(jet, coefs):
+            e = Jet(jet.n, jet.c / jet.c[..., :1])
+            e.c[..., 0] = 0.0
+            series, power = e * coefs[1] + coefs[0], e
+            for coef in coefs[2:jet.order + 1]:
+                power = power * e
+                series = series + power * coef
+            return series
+
+        rng = np.random.default_rng(61)
+        c = rng.normal(size=(2, 3, order_sizes(n)[order]))
+        c[..., 0] = rng.uniform(0.5, 3.0, (2, 3))
+        jet = Jet(n, c)
+        recip = operator_series(jet, (1.0, -1.0, 1.0, -1.0)) * (1.0 / c[..., 0])
+        root = operator_series(jet, (1.0, 0.5, -0.125, 0.0625)) * np.sqrt(
+            c[..., 0])
+        assert np.array_equal(jet.reciprocal().c, recip.c)
+        assert np.array_equal(jet.sqrt().c, root.c)
+
 
 class TestExtract:
     def test_third_derivative_of_cubic(self):

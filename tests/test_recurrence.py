@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from kaehlerlab import ambient as amb
+from kaehlerlab import cli
 from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
 
@@ -88,6 +90,28 @@ class TestClassify:
             for _ in range(3):
                 result = rec.classify(data_at(name, rng.uniform(-1, 1, 2)))
                 assert result.classification == rec.NON_RECURRENT, name
+
+
+class TestClassifierMargins:
+    """Where the classes switch on the curved path, with every constant as it
+    is.  (sqrt(2) z, z^2 + t z^3) in CP^2(4) is the Veronese curve bent by t:
+    |nabla b| grows like t and crosses the absolute NABLA_B_ZERO_TOL between
+    t = 1e-8 and 1e-7.  On both sides every point also passes the suite and
+    the two-path gates, which read the Gauss and Ricci terms of the ambient
+    curvature."""
+
+    @pytest.mark.parametrize("t, expected", [(1e-8, rec.PARALLEL),
+                                             (1e-7, rec.NON_RECURRENT)])
+    def test_bent_veronese(self, t, expected):
+        case = sm.ImmersionCase(
+            "bent_veronese", 1, amb.fubini_study(4.0, 2),
+            lambda z: [z[0] * np.sqrt(2.0), z[0] * z[0] + z[0] * z[0] * z[0] * t],
+            ((-1.0, 1.0),) * 2, sm.PARALLEL)
+        report, failed, _ = cli.run_case(
+            case, cli.RunConfig(points=8, seed=42), len(sm.CATALOG))
+        assert not failed
+        assert [point["recurrence"]["classification"]
+                for point in report["points"]] == [expected] * 8
 
 
 class TestVerifyTheorems:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from extra_cases import QUADRIC_Q3, SEGRE
+from extra_cases import CUBIC_SURFACE, QUADRIC_Q3, SEGRE
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import identities as ids
@@ -14,6 +14,7 @@ from kaehlerlab.jets import (
     jet_gradient,
     jet_values,
     seed_point,
+    stack,
 )
 
 
@@ -154,10 +155,6 @@ class TestTwoPathGates:
                     assert val <= sm.TWO_PATH_TOL[key], (case.name, key, val)
 
 
-def _chart_cubic_surface(z):
-    return [z[0], z[1], z[0] * z[0] * z[1] + z[1] * z[1] * z[1]]
-
-
 def _assert_healthy(d, expected_class):
     """Every registry check passes, every two-path gate holds, class as
     expected."""
@@ -201,11 +198,15 @@ CURVED = [
 
 def _jet_curvature_term(geo, normal):
     """Reference for ``PointGeometry._ambient_curvature``: the closed form
-    evaluated on the Gram jet's order-1 jets, each slot pairing broadcast
-    onto the axes of its two slots."""
+    evaluated on the order-1 jets of the Gram jet <(T, JT)_i, (T, N)_x>,
+    built here from the frames, each slot pairing broadcast onto the axes of
+    its two slots.  Unlike the stage, it forms every tangent-normal pairing
+    instead of passing it as zero."""
     nu = geo.nu
     zw = slice(nu, None) if normal else slice(None, nu)
-    gram_P, gram_K = geo.gram_jet
+    JT = einsum("AB,iB->iA", geo.J_amb, geo.T_jet)
+    gram_P, gram_K = einsum("siA,xA->six", stack([geo.T_jet, JT]).truncate(1),
+                            stack([*geo.T_low, *geo.N_low]))
 
     def cross(M):
         M = M[:, zw]
@@ -257,14 +258,15 @@ class TestAmbientCurvatureTerm:
     @pytest.mark.parametrize("case, u", CURVED)
     def test_probes_match_jet_evaluation(self, case, u):
         # The float probes give the value and first partials that the
-        # closed form gives on order-1 jets: it is quadratic in the
-        # pairings, so the central difference is exact up to round-off.
+        # closed form gives on order-1 jets of the Gram jet: it is quadratic
+        # in the pairings, so the central difference is exact up to
+        # round-off, and so are the zeros passed for the tangent-normal
+        # pairings and g read for <T_i, T_j>.
         geo = sm.PointGeometry(case, u)
         for normal in (True, False):
             want = _jet_curvature_term(geo, normal)
             got = geo._ambient_curvature(normal)
             assert got.order == want.order == 1
-            assert np.array_equal(jet_values(got), jet_values(want))
             for part in (jet_values, jet_gradient):
                 assert np.abs(part(want)).max() >= 0.1
                 assert np.abs(part(got) - part(want)).max() <= 1e-13
@@ -278,7 +280,7 @@ class TestJetOrders:
         "F": 3,
         "g_amb_jet": 2, "T_jet": 2, "g_jet": 2, "N_jet": 2,
         "gamma_jet": 1, "b_vec_jet": 1, "b_jet": 1, "A_jet": 1,
-        "gamma_perp_jet": 1,
+        "gamma_perp_jet": 1, "omega_jet": 1, "J_tan_jet": 1, "J_nor_jet": 1,
     }
 
     @pytest.mark.parametrize("case, u", [
@@ -291,7 +293,6 @@ class TestJetOrders:
         assert {name: getattr(geo, name).order for name in self.ORDERS} \
             == self.ORDERS
         if case.ambient.c != 0.0:
-            assert geo.gram_jet.order == 1
             for normal in (True, False):
                 assert geo._ambient_curvature(normal).order == 1
 
@@ -314,13 +315,9 @@ class TestSurfaceInFlatAmbient:
     def test_cubic_graph_surface(self):
         # A non-parallel surface in C3 (m = 2): four distinct tangent indices
         # expose index-order slips that curves (two indices) cannot.
-        case = sm.ImmersionCase(
-            "cubic_graph_c3", 2, amb.flat(3), _chart_cubic_surface,
-            ((-1.0, 1.0),) * 4, sm.GENERIC,
-        )
         rng = np.random.default_rng(37)
         for _ in range(3):
-            d = sm.extrinsic_data(case, rng.uniform(-1, 1, 4))
+            d = sm.extrinsic_data(CUBIC_SURFACE, rng.uniform(-1, 1, 4))
             _assert_healthy(d, rec.NON_RECURRENT)
 
 
