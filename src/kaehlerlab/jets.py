@@ -1,4 +1,5 @@
-"""Truncated Taylor (jet) arithmetic of order at most 3 in n real variables.
+"""Truncated Taylor (jet) arithmetic of order at most 3 in n real variables,
+with float or complex coefficients.
 
 A jet of order k stores the Taylor coefficients of a function at a point,
 for every multi-index of total degree <= k, in graded lexicographic order.
@@ -19,7 +20,9 @@ A ``Jet`` is array-valued: its coefficients ``c`` have shape
 the last axis; a scalar jet is the case ``shape == ()``.  Arithmetic
 broadcasts over ``shape`` like numpy, and ``einsum`` contracts jets and
 float arrays, so a whole tensor of jets is built by a few numpy calls on
-coefficient arrays.
+coefficient arrays.  Truncated Taylor arithmetic holds over C unchanged, so
+a holomorphic chart runs on complex jets z = x + i y (``sqrt`` alone is
+real-only).
 """
 
 from __future__ import annotations
@@ -134,9 +137,9 @@ def _partials(jet, rows) -> np.ndarray:
 
 
 def _lift(value, size: int) -> np.ndarray:
-    """``size`` coefficients of constant jets with the given float value(s)."""
-    value = np.asarray(value, dtype=float)
-    c = np.zeros(value.shape + (size,))
+    """``size`` coefficients of constant jets with the given value(s)."""
+    value = np.asarray(value)
+    c = np.zeros(value.shape + (size,), np.promote_types(value.dtype, float))
     c[..., 0] = value
     return c
 
@@ -149,15 +152,16 @@ def _common(a: np.ndarray, b: np.ndarray):
     return a[..., :size], b[..., :size]
 
 
-def _is_float(x) -> bool:
-    return isinstance(x, (int, float, np.number)) or (
-        isinstance(x, np.ndarray) and x.dtype.kind in "biuf")
+def _is_number(x) -> bool:
+    """Whether ``x`` is a real or complex scalar or array (not a jet)."""
+    return isinstance(x, (int, float, complex, np.number)) or (
+        isinstance(x, np.ndarray) and x.dtype.kind in "biufc")
 
 
 class Jet:
     """Taylor polynomials of order <= 3 in ``n`` real variables, one per
     entry of ``shape``; coefficients ``c`` have shape ``(*shape, K)``, with
-    K = C(n + order, order)."""
+    K = C(n + order, order), and are float or complex."""
 
     __slots__ = ("n", "c")
 
@@ -170,7 +174,8 @@ class Jet:
         if coeffs is None:
             self.c = np.zeros(sizes[MAX_DEGREE])
         else:
-            c = np.array(coeffs, dtype=float)
+            c = np.asarray(coeffs)
+            c = np.array(c, dtype=np.promote_types(c.dtype, float))
             if c.ndim == 0 or c.shape[-1] not in sizes:
                 raise ValueError(
                     f"expected one of {sizes} coefficients (orders 0 to "
@@ -187,7 +192,7 @@ class Jet:
 
     @classmethod
     def constant(cls, value, n: int) -> "Jet":
-        """Constant jets with the given float value (or array of values)."""
+        """Constant jets with the given value (or array of values)."""
         return cls._wrap(n, _lift(value, order_sizes(n)[MAX_DEGREE]))
 
     @property
@@ -219,9 +224,9 @@ class Jet:
     @property
     def value(self):
         """Degree-zero coefficients: the values of the functions at the point
-        (a float for a scalar jet)."""
+        (a Python float or complex for a scalar jet)."""
         v = self.c[..., 0]
-        return float(v) if v.ndim == 0 else v.copy()
+        return v.item() if v.ndim == 0 else v.copy()
 
     # -- array structure ---------------------------------------------------
 
@@ -261,7 +266,7 @@ class Jet:
                     f"jet variable counts differ: {self.n} vs {other.n}"
                 )
             return other.c
-        if _is_float(other):
+        if _is_number(other):
             return _lift(other, self.c.shape[-1])
         return None
 
@@ -292,8 +297,8 @@ class Jet:
         return Jet._wrap(self.n, o - a)
 
     def __mul__(self, other):
-        if _is_float(other):
-            return Jet._wrap(self.n, self.c * np.asarray(other, float)[..., None])
+        if _is_number(other):
+            return Jet._wrap(self.n, self.c * np.asarray(other)[..., None])
         o = self._coeffs(other)
         if o is None:
             return NotImplemented
@@ -322,25 +327,27 @@ class Jet:
         if np.any(np.abs(a0) < DIVISION_FLOOR):
             raise ZeroDivisionError(
                 f"jet reciprocal: constant term below floor {DIVISION_FLOOR}"
-                f" (smallest {np.abs(a0).min()!r})"
+                f" (smallest {np.abs(a0).min():.3e})"
             )
         # 1/(a0 (1 + e)) with e nilpotent: the geometric series.
         return self._unit_series((1.0, -1.0, 1.0, -1.0)) * (1.0 / a0[..., 0])
 
     def __truediv__(self, other):
-        if _is_float(other):
-            return Jet._wrap(self.n, self.c / np.asarray(other, float)[..., None])
+        if _is_number(other):
+            return Jet._wrap(self.n, self.c / np.asarray(other)[..., None])
         o = self._coeffs(other)
         if o is None:
             return NotImplemented
         return self * Jet._wrap(self.n, o).reciprocal()
 
     def __rtruediv__(self, other):
-        if not _is_float(other):
+        if not _is_number(other):
             return NotImplemented
         return self.reciprocal() * other
 
     def sqrt(self) -> "Jet":
+        if np.iscomplexobj(self.c):  # numpy's <= on complex is lexicographic
+            raise TypeError("jet sqrt needs real coefficients")
         a0 = self.c[..., :1]
         if np.any(a0 <= DIVISION_FLOOR):
             raise ValueError(
@@ -551,7 +558,7 @@ def seed_point(x) -> Jet:
     return out
 
 
-def extract(jet: Jet, alpha) -> float:
+def extract(jet: Jet, alpha) -> float | complex:
     """Mixed partial derivative of the underlying function at the point."""
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != jet.n:
@@ -564,7 +571,7 @@ def extract(jet: Jet, alpha) -> float:
     scale = 1.0
     for a in alpha:
         scale *= math.factorial(a)
-    return scale * float(jet.c[index_position(jet.n)[alpha]])
+    return scale * jet.c[index_position(jet.n)[alpha]].item()
 
 
 def project_head(jet: Jet, n_keep: int) -> Jet:
@@ -604,81 +611,6 @@ def fd_oracle(f, x, alpha, h: float) -> float:
         return float(f(pt) if len(pt) > 1 else f(pt[0]))
 
     return recurse(list(alpha), x)
-
-
-class ComplexJet:
-    """Complex number whose real and imaginary parts are jets.
-
-    Chart maps in this package are rational holomorphic expressions; writing
-    them against this class (or against plain Python complex, which supports
-    the same operators) keeps one definition per chart.  The parts may be
-    jet arrays, which broadcast like any jet.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Jet, im: Jet):
-        self.re = re
-        self.im = im
-
-    @staticmethod
-    def _parts(other):
-        """Real and imaginary parts (jets or floats), or None if foreign."""
-        if isinstance(other, ComplexJet):
-            return other.re, other.im
-        if isinstance(other, (int, float, complex, np.number)):
-            other = complex(other)
-            return other.real, other.imag
-        return None
-
-    def __add__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return ComplexJet(self.re + o[0], self.im + o[1])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ComplexJet(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return ComplexJet(self.re - o[0], self.im - o[1])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return ComplexJet(self.re * float(other), self.im * float(other))
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        o_re, o_im = o
-        return ComplexJet(
-            self.re * o_re - self.im * o_im,
-            self.re * o_im + self.im * o_re,
-        )
-
-    __rmul__ = __mul__
-
-    def abs2(self) -> Jet:
-        return self.re * self.re + self.im * self.im
-
-    def __truediv__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        o_re, o_im = o
-        # self * conj(o) / |o|^2
-        inv = 1.0 / (o_re * o_re + o_im * o_im)
-        return ComplexJet(
-            (self.re * o_re + self.im * o_im) * inv,
-            (self.im * o_re - self.re * o_im) * inv,
-        )
 
 
 def jet_matrix_inverse(mat: Jet, checked_value=None) -> Jet:

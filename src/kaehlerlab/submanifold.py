@@ -42,7 +42,6 @@ import numpy as np
 from . import ambient as amb
 from .jets import (
     DIVISION_FLOOR,
-    ComplexJet,
     Jet,
     einsum,
     jet_gradient,
@@ -113,28 +112,26 @@ class ImmersionCase:
         return self.ambient.complex_dim - self.m
 
     def map_jets(self, u) -> Jet:
-        """Real chart coordinates of F(u) as a jet of shape ``(d,)`` in the
-        parameter ring; non-finite coefficients raise no warning here."""
+        """Real chart coordinates (Re w_0, Im w_0, ...) of F(u) as a jet of
+        shape ``(d,)``: the chart, any expression in ``+ - * /`` with real or
+        complex scalars, runs unchanged on the complex jets z_a = u_2a +
+        i u_2a+1; non-finite coefficients raise no warning here."""
         nu = 2 * self.m
         u = np.asarray(u, dtype=float)
         if u.shape != (nu,):
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
         seeds = seed_point(u)
-        z = [ComplexJet(seeds[2 * a], seeds[2 * a + 1]) for a in range(self.m)]
+        z = seeds[0::2] + seeds[1::2] * 1j
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            w = self.chart(z)
-        return stack([part for comp in w for part in (comp.re, comp.im)])
+            w = stack(self.chart(list(z))).c
+        return Jet(nu, np.stack([w.real, w.imag], 1).reshape(-1, w.shape[-1]))
 
     def map_values(self, u) -> np.ndarray:
         """F(u) as floats; the chart runs unchanged on Python complex."""
         u = np.asarray(u, dtype=float)
         z = [complex(u[2 * a], u[2 * a + 1]) for a in range(self.m)]
-        w = self.chart(z)
-        out = []
-        for comp in w:
-            out.append(comp.real)
-            out.append(comp.imag)
-        return np.array(out)
+        w = np.array(self.chart(z), dtype=complex)
+        return np.stack([w.real, w.imag], 1).ravel()
 
 
 def _chart_linear(z):
@@ -308,7 +305,12 @@ class PointGeometry:
     # -- ambient data composed with the immersion ---------------------------
 
     def _build_ambient_along_immersion(self):
-        self.F = self.case.map_jets(self.u)
+        try:
+            self.F = self.case.map_jets(self.u)
+        except ZeroDivisionError as exc:
+            raise DegeneratePointError(
+                f"{self.case.name}: chart has a pole at u={self.u}: {exc}"
+            ) from exc
         if not np.isfinite(self.F.c).all():
             raise DegeneratePointError(
                 f"{self.case.name}: chart not finite at u={self.u}: the "

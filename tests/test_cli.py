@@ -181,22 +181,30 @@ class TestRun:
         assert "internal_error" not in point
         assert report["aggregates"]["skipped_points"] == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_chart_is_skipped(self, value):
+    @pytest.mark.parametrize("chart, domain, reasons", [
+        pytest.param(lambda z: [z[0], z[0] * float("nan")], ((-1.0, 1.0),) * 2,
+                     ("chart not finite", "NaN or inf"), id="nan"),
+        pytest.param(lambda z: [z[0], z[0] * float("inf")], ((-1.0, 1.0),) * 2,
+                     ("chart not finite", "NaN or inf"), id="inf"),
+        # Every sample sits at z = i, a pole of 1/(z^2 + 1).
+        pytest.param(lambda z: [z[0], 1.0 / (z[0] * z[0] + 1.0)],
+                     ((0.0, 0.0), (1.0, 1.0)),
+                     ("chart has a pole at u=[0. 1.]",), id="pole"),
+    ])
+    def test_non_finite_chart_is_skipped(self, chart, domain, reasons):
         # A chart whose jets hold NaN once failed to converge in the rank
         # gate's SVD and escaped run_case as LinAlgError; one that multiplies
-        # by inf once raised its RuntimeWarning out of run_case.
-        case = sm.ImmersionCase(
-            f"{value}_c2", 1, amb.flat(2),
-            lambda z: [z[0], z[0] * float(value)],
-            ((-1.0, 1.0), (-1.0, 1.0)), sm.GENERIC)
+        # by inf once raised its RuntimeWarning out of run_case, and a pole
+        # its ZeroDivisionError.
+        case = sm.ImmersionCase("singular_c2", 1, amb.flat(2), chart, domain,
+                                sm.GENERIC)
         report, failed, mismatched = cli.run_case(
             case, cli.RunConfig(points=3), len(sm.CATALOG))
         assert not failed and not mismatched
         assert len(report["points"]) == 3
         for point in report["points"]:
-            assert "chart not finite" in point["skipped"]
-            assert "NaN or inf" in point["skipped"]
+            for reason in reasons:
+                assert reason in point["skipped"]
             assert "checks" not in point and "internal_error" not in point
         agg = report["aggregates"]
         assert agg["skipped_points"] == 3

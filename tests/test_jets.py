@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kaehlerlab.jets import (
-    ComplexJet,
     Jet,
     _pair_plan,
     einsum,
@@ -263,27 +262,53 @@ class TestFdOracle:
             fd_oracle(lambda u: u, [0.0], (1,), 0.0)
 
 
-class TestComplexJet:
+class TestComplexCoefficients:
+    """Jets over C: z = x + i y with x, y seeded real variables."""
+
+    @staticmethod
+    def _z(u):
+        x, y = seed_point(u)
+        return x + 1j * y
+
     def test_field_operations(self):
-        x = seed_variable(0, 0.3, 2)
-        y = seed_variable(1, -0.4, 2)
-        z = ComplexJet(x, y)
+        z = self._z([0.3, -0.4])
         w = z * z / z
-        assert w.re.value == pytest.approx(0.3)
-        assert w.im.value == pytest.approx(-0.4)
-        assert z.abs2().value == pytest.approx(0.25)
+        assert w.c.dtype == complex
+        assert w.value == pytest.approx(0.3 - 0.4j)
+        assert np.allclose(w.c, z.c)
 
     def test_matches_python_complex(self):
         def chart(z):
-            return z * z * z + 2.0 * z + 1.0
+            return z * z * z + 2.0 * z + 1j * z + 1.0 / (z * z + 1.0)
 
         u = [0.7, -0.2]
-        x = seed_variable(0, u[0], 2)
-        y = seed_variable(1, u[1], 2)
-        got = chart(ComplexJet(x, y))
+        got = chart(self._z(u))
         want = chart(complex(*u))
-        assert got.re.value == pytest.approx(want.real)
-        assert got.im.value == pytest.approx(want.imag)
+        assert isinstance(got.value, complex)
+        assert got.value == pytest.approx(want)
+
+    def test_holomorphic_derivatives(self):
+        # For holomorphic f, d/dx f = f'(z) and d/dy f = i f'(z).
+        u = [0.7, -0.2]
+        z0 = complex(*u)
+        got = 1.0 / (self._z(u) * self._z(u) + 1.0)
+        want = -2.0 * z0 / (z0 * z0 + 1.0) ** 2
+        assert extract(got, (1, 0)) == pytest.approx(want)
+        assert extract(got, (0, 1)) == pytest.approx(1j * want)
+
+    def test_constructor_and_constant_keep_complex(self):
+        c = np.arange(3) * (1.0 + 2.0j)
+        assert Jet(1, c).c.dtype == complex
+        assert np.array_equal(Jet(1, c).c, c)
+        assert Jet.constant(2j, 1).value == 2j
+        assert Jet.constant(2, 1).c.dtype == float
+        assert Jet(1, [1, 2, 3, 4]).c.dtype == float
+
+    def test_sqrt_refuses_complex(self):
+        with pytest.raises(TypeError):
+            self._z([1.0, 0.0]).sqrt()
+        with pytest.raises(TypeError):
+            Jet.constant(4.0 + 0j, 1).sqrt()
 
 
 class TestMatrixInverse:

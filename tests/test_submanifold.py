@@ -34,8 +34,12 @@ class TestCatalog:
             sm.get_case("nope")
 
     def test_map_values_matches_jets(self):
+        rational = sm.ImmersionCase(
+            "rational_c2", 1, amb.flat(2),
+            lambda z: [z[0], 1.0 / (1.0 + z[0] * z[0])],
+            ((-1.0, 1.0),) * 2, sm.GENERIC)
         rng = np.random.default_rng(2)
-        for case in sm.CATALOG:
+        for case in (*sm.CATALOG, rational):
             u = rng.uniform(-1, 1, 2 * case.m)
             jets = case.map_jets(u)
             vals = case.map_values(u)
