@@ -3,7 +3,9 @@
 Every check evaluates the two sides of one identity on random tangent and
 normal tuples drawn from a seeded generator, and reports the normalized
 residual |LHS - RHS|_inf / (1 + max(|LHS|_inf, |RHS|_inf)) of each tuple.
-Each check runs once per point, over all its tuples at once.  The catalog
+Each check runs once per point, over all its tuples at once; the checks
+that do not depend on the tuples (the Kaehler conditions of the ambient and
+the route agreements) run once, on one row.  The catalog
 covers the fundamental equations of submanifold geometry (Gauss, Codazzi,
 Ricci), the Kaehler compatibility conditions, the interaction of the
 complex structure with the second fundamental form, the shape operators
@@ -28,6 +30,15 @@ from .submanifold import ExtrinsicData, covariant_derivative
 
 #: Random tuples of tangent and normal vectors each check runs on per point.
 N_TUPLES = 8
+
+#: The slot pairs (s, t) whose <V_s, V_t> (P) and <J V_s, V_t> (K)
+#: ``curvature_operator`` reads, and for each pair its form (0 for <., .>,
+#: 1 for <J., .>) and its two slots, as index arrays.
+_P_PAIRS = ((1, 2), (0, 3), (0, 2), (1, 3))
+_K_PAIRS = _P_PAIRS + ((1, 0), (2, 3))
+_PAIR_FORM, _PAIR_S, _PAIR_T = np.array(
+    [(f, s, t) for f, pairs in enumerate((_P_PAIRS, _K_PAIRS))
+     for s, t in pairs]).T
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,9 @@ class _Evaluator:
     normal vectors coefficient arrays over the orthonormal normal frame.
     The tuples are X, Y, Z, W of shape (Q, 2m) and xi, eta of shape
     (Q, 2l), one tuple per row; each check returns its two sides with the
-    tuple axis first.  Contractions that several checks read are made once,
-    here.
+    tuple axis first, or with one row when they do not depend on the tuples.
+    Contractions and tuple applications that several checks read are made
+    once, here.
     """
 
     def __init__(self, data: ExtrinsicData, tuples):
@@ -90,12 +102,12 @@ class _Evaluator:
         # The adapted frame: tangent components first, then normal ones.
         # The bundles are orthogonal, so the metric and J are block diagonal
         # and every pairing across slot kinds vanishes.
-        n = self.nu + self.p
-        G, J = np.zeros((n, n)), np.zeros((n, n))
-        G[:self.nu, :self.nu], G[self.nu:, self.nu:] = d.g, np.eye(self.p)
-        J[:self.nu, :self.nu], J[self.nu:, self.nu:] = d.J_tan, d.J_nor
-        self._forms = np.stack([G, J.T @ G])  # <U, V> and <JU, V>
-        self._chart_forms = np.stack([d.g_amb, d.J_amb.T @ d.g_amb])
+        # <U, V> and <JU, V>: diag(g, I) and diag(J_tan^T g, J_nor^T).
+        nu, n = self.nu, self.nu + self.p
+        forms = self._forms = np.zeros((2, n, n))
+        forms[0, :nu, :nu], forms[0, nu:, nu:] = d.g, np.eye(self.p)
+        forms[1, :nu, :nu], forms[1, nu:, nu:] = d.J_tan.T @ d.g, d.J_nor.T
+        self._chart_forms = np.array([d.g_amb, d.J_amb.T @ d.g_amb])
         # b and nabla b with the normal index last, so that their tangent
         # slots lead, as ``_contract`` needs.
         self._b = d.b.transpose(1, 2, 0)
@@ -107,11 +119,18 @@ class _Evaluator:
         # Matrices of (nabla_Z A)_xi acting on tangent coefficient vectors.
         self.nA_xi = _contract(d.nabla_A, self.Z, self.xi)
         self.nA_Jxi = _contract(d.nabla_A, self.Z, self.Jxi)
+        # Tuple applications that several checks read.
+        self.XJ = self.X @ d.J_tan.T
+        self.A_xi_X = _apply(self.A_xi, self.X)
+        self.A_xi_Y = _apply(self.A_xi, self.Y)
+        self.nA_xi_X = _apply(self.nA_xi, self.X)
+        self.nA_xi_Y = _apply(self.nA_xi, self.Y)
         self.nb_XYZ = _contract(self._nb, self.X, self.Y, self.Z)
         self.nb_YXZ = _contract(self._nb, self.Y, self.X, self.Z)
         # [q, b, a] = (nabla_Z R_perp)(X, Y)^b_a, as matrices acting on xi.
         self.nrp_ZXY = _contract(d.nabla_r_perp, self.Z, self.X,
                                  self.Y).swapaxes(1, 2)
+        self.nrp_ZXY_xi = _apply(self.nrp_ZXY, self.xi)
         self.amb_r_normal = self._amb_r_normal_part(self.X, self.Y, self.Z)
 
     def _inner_tan(self, U, V) -> np.ndarray:
@@ -120,8 +139,14 @@ class _Evaluator:
     def _closed_form_r(self, V, forms) -> np.ndarray:
         """Closed-form ambient <R(V_0, V_1)V_2, V_3> from the slot vectors
         ``V[s, ..., n]``, with ``forms`` the forms <U, V> and <JU, V> on
-        their components."""
-        P, K = (np.einsum("s...n,t...n->st...", V @ f, V) for f in forms)
+        their components; only the pairings ``curvature_operator`` reads are
+        formed, in one ``np.einsum``."""
+        # [form, slot, ..., n]: each slot vector through each form.
+        VF = V[None] @ forms.reshape(2, *(1,) * (V.ndim - 2), *forms.shape[1:])
+        pairings = np.einsum("k...n,k...n->k...", VF[_PAIR_FORM, _PAIR_S],
+                             V[_PAIR_T])
+        P = dict(zip(_P_PAIRS, pairings))
+        K = dict(zip(_K_PAIRS, pairings[len(_P_PAIRS):]))
         return curvature_operator(self.d.c, P, K)
 
     # Closed-form ambient curvature <R(X, Y)Z, W> with each slot tangent
@@ -140,14 +165,10 @@ class _Evaluator:
         # closed form pairs across slot kinds here, so it would read 0 by
         # construction whatever the frames.
         d = self.d
-        V = np.broadcast_arrays(*[(U @ d.T)[:, None] for U in (X, Y, Z)],
-                                d.N[None])
-        return self._closed_form_r(np.stack(V), self._chart_forms)
-
-    def _each(self, lhs, rhs):
-        """A pair of sides that does not depend on the tuples, once per tuple."""
-        return (np.broadcast_to(lhs, (self.Q,) + np.shape(lhs)),
-                np.broadcast_to(rhs, (self.Q,) + np.shape(rhs)))
+        V = np.empty((4, self.Q, self.p, d.N.shape[1]))
+        V[:3] = (np.array([X, Y, Z]) @ d.T)[:, :, None]
+        V[3] = d.N
+        return self._closed_form_r(V, self._chart_forms)
 
     # -- fundamental equations ------------------------------------------------
 
@@ -181,7 +202,7 @@ class _Evaluator:
         d = self.d
         J = d.J_amb
         lhs = J.T @ d.g_amb @ J
-        return self._each(lhs, d.g_amb)
+        return lhs[None], d.g_amb[None]
 
     def eq_1_11_parallel_j(self):
         d = self.d
@@ -190,7 +211,7 @@ class _Evaluator:
         # slotwise: Gamma^D_{AB} J^B_C - J^D_B Gamma^B_{AC} = 0.
         lhs = np.einsum("dab,bc->dac", d.gamma_amb, J)
         rhs = np.einsum("db,bac->dac", J, d.gamma_amb)
-        return self._each(lhs, rhs)
+        return lhs[None], rhs[None]
 
     # -- duality and J-compatibility on the submanifold ------------------------
 
@@ -199,7 +220,7 @@ class _Evaluator:
         # side assembled from raw ingredients (db, gamma, gamma_perp, b)
         # rather than the precomputed derivative of b.
         d = self.d
-        lhs = self._inner_tan(_apply(self.nA_xi, self.X), self.Y)
+        lhs = self._inner_tan(self.nA_xi_X, self.Y)
         nb = (
             d.db.transpose(0, 2, 3, 1)
             - np.einsum("tij,atk->ijka", d.gamma, d.b)
@@ -212,7 +233,7 @@ class _Evaluator:
     def eq_2_3(self):
         # (nabla_Z A)_{J xi} = J (nabla_Z A)_xi.
         lhs = _apply(self.nA_Jxi, self.X)
-        rhs = _apply(self.nA_xi, self.X) @ self.d.J_tan.T
+        rhs = self.nA_xi_X @ self.d.J_tan.T
         return lhs, rhs
 
     def eq_2_4_tangent(self):
@@ -232,7 +253,7 @@ class _Evaluator:
     def eq_2_5_shape(self):
         # A_{J xi} = J A_xi.
         lhs = _apply(_contract(self.d.A, self.Jxi), self.X)
-        rhs = _apply(self.A_xi, self.X) @ self.d.J_tan.T
+        rhs = self.A_xi_X @ self.d.J_tan.T
         return lhs, rhs
 
     def eq_2_5_normal(self):
@@ -252,20 +273,16 @@ class _Evaluator:
     def eq_2_7(self):
         # (nabla_{JZ} A)_xi = -J (nabla_Z A)_xi.
         lhs = _apply(_contract(self.d.nabla_A, self.JZ, self.xi), self.X)
-        rhs = -_apply(self.nA_xi, self.X) @ self.d.J_tan.T
+        rhs = -self.nA_xi_X @ self.d.J_tan.T
         return lhs, rhs
 
     def eq_2_8(self):
         # J A_xi = -A_xi J.
-        J = self.d.J_tan
-        return (_apply(self.A_xi, self.X) @ J.T,
-                -_apply(self.A_xi, self.X @ J.T))
+        return (self.A_xi_X @ self.d.J_tan.T, -_apply(self.A_xi, self.XJ))
 
     def eq_2_9(self):
         # J (nabla_Z A)_xi = -(nabla_Z A)_xi J.
-        J = self.d.J_tan
-        return (_apply(self.nA_xi, self.X) @ J.T,
-                -_apply(self.nA_xi, self.X @ J.T))
+        return (self.nA_xi_X @ self.d.J_tan.T, -_apply(self.nA_xi, self.XJ))
 
     def eq_2_11(self):
         # The space-form part of the normal curvature, g(X, JY) J xi as a
@@ -284,31 +301,29 @@ class _Evaluator:
     # -- closed forms for the normal curvature and its derivative --------------
 
     def eq_2_12(self):
-        d, X, Y, Axi = self.d, self.X, self.Y, self.A_xi
+        d, X, Y = self.d, self.X, self.Y
         lhs = _contract(d.r_perp, X, Y, self.xi)
         gXJY = self._inner_tan(X, Y @ d.J_tan.T)
         rhs = (
             d.c / 2.0 * gXJY[:, None] * self.Jxi
-            + _contract(self._b, X, _apply(Axi, Y))
-            - _contract(self._b, Y, _apply(Axi, X))
+            + _contract(self._b, X, self.A_xi_Y)
+            - _contract(self._b, Y, self.A_xi_X)
         )
         return lhs, rhs
 
     def eq_2_13(self):
-        X, Y, Z, Axi, nAxi = self.X, self.Y, self.Z, self.A_xi, self.nA_xi
-        nb, b = self._nb, self._b
-        lhs = _apply(self.nrp_ZXY, self.xi)
+        X, Y, Z, nb, b = self.X, self.Y, self.Z, self._nb, self._b
         rhs = (
-            _contract(nb, Z, X, _apply(Axi, Y))
-            + _contract(b, X, _apply(nAxi, Y))
-            - _contract(nb, Z, Y, _apply(Axi, X))
-            - _contract(b, Y, _apply(nAxi, X))
+            _contract(nb, Z, X, self.A_xi_Y)
+            + _contract(b, X, self.nA_xi_Y)
+            - _contract(nb, Z, Y, self.A_xi_X)
+            - _contract(b, Y, self.nA_xi_X)
         )
-        return lhs, rhs
+        return self.nrp_ZXY_xi, rhs
 
     def eq_2_14(self):
         Axi, Aeta, nAxi = self.A_xi, self.A_eta, self.nA_xi
-        lhs = _dot(_apply(self.nrp_ZXY, self.xi), self.eta)
+        lhs = _dot(self.nrp_ZXY_xi, self.eta)
         nAeta = _contract(self.d.nabla_A, self.Z, self.eta)
         comm = (nAxi @ Aeta - Aeta @ nAxi) + (Axi @ nAeta - nAeta @ Axi)
         rhs = self._inner_tan(_apply(comm, self.X), self.Y)
@@ -326,7 +341,7 @@ class _Evaluator:
     # -- route agreements and structural sanity ---------------------------------
 
     def _two_path(self, route):
-        return self._each([self.d.two_path[route]], [0.0])
+        return np.array([[self.d.two_path[route]]]), np.zeros((1, 1))
 
     def two_path_nabla_b(self):
         return self._two_path("two_path_nabla_b")
@@ -341,9 +356,8 @@ class _Evaluator:
         return self._two_path("two_path_nabla_r")
 
     def nabla_a_self_adjoint(self):
-        nA, X, Y = self.nA_xi, self.X, self.Y
-        lhs = self._inner_tan(_apply(nA, X), Y)
-        rhs = self._inner_tan(X, _apply(nA, Y))
+        lhs = self._inner_tan(self.nA_xi_X, self.Y)
+        rhs = self._inner_tan(self.X, self.nA_xi_Y)
         return lhs[:, None], rhs[:, None]
 
 
@@ -370,7 +384,7 @@ def _apply(M, V) -> np.ndarray:
 
 def _dot(U, V) -> np.ndarray:
     """Row-wise dot products."""
-    return np.einsum("qa,qa->q", U, V)
+    return np.vecdot(U, V)
 
 
 def _draw_tuples(rng, n_tuples: int, nu: int, p: int) -> list:
@@ -389,13 +403,14 @@ def run_identity_suite(data: ExtrinsicData, rng_seed: int,
 
     Each check is evaluated once, on all ``N_TUPLES`` random tuples of four
     tangent and two normal vectors with components uniform in [-1, 1]; the
-    reported residual is the worst of the per-tuple residuals.
+    reported residual is the worst of the per-tuple residuals.  A check
+    that does not depend on the tuples is evaluated once, on one row.
     ``tolerances`` maps identity ids to replacement tolerances.
     """
     rng = np.random.default_rng(rng_seed)
     ev = _Evaluator(data, _draw_tuples(rng, N_TUPLES, 2 * data.m, 2 * data.l))
     worst = _worst_residuals(
-        [getattr(ev, chk.identity_id)() for chk in REGISTRY], N_TUPLES)
+        [getattr(ev, chk.identity_id)() for chk in REGISTRY])
     results = []
     for chk, res in zip(REGISTRY, worst.tolist()):
         tol = chk.tolerance
@@ -412,23 +427,26 @@ def run_identity_suite(data: ExtrinsicData, rng_seed: int,
     return results
 
 
-def _worst_residuals(sides, n_tuples: int) -> np.ndarray:
-    """Per check, the largest ``normalized_residual`` over the tuples, in one
-    pass: every check's (lhs, rhs), tuple axis first, becomes a column
-    segment of one (n_tuples, total) array per side, and each segment's row
-    maxima one ``np.maximum.reduceat``.  A maximum is exact, so this is bit
-    for bit the per-tuple residual."""
+def _worst_residuals(sides) -> np.ndarray:
+    """Per check, the largest ``normalized_residual`` over its rows (the
+    tuples, or the one row of a tuple-independent check), in one pass:
+    every check's (lhs, rhs), row axis first, is flattened into one array
+    per side, in which each row of each check is a segment, so that one
+    ``np.maximum.reduceat`` gives every row's largest |entry| and a second
+    one each check's worst row.  A maximum is exact, so this is bit for bit
+    the per-row residual."""
     widths = [math.prod(lhs.shape[1:]) for lhs, _ in sides]
-    # reduceat would read an empty segment's next column: refuse one.
+    # reduceat would read an empty segment's next entry: refuse one.
     if 0 in widths or any(lhs.shape != rhs.shape for lhs, rhs in sides):
         raise ValueError("each check needs two non-empty sides of one shape")
-    lhs, rhs = (np.concatenate(
-        [side[k].reshape(n_tuples, w) for side, w in zip(sides, widths)],
-        axis=1) for k in (0, 1))
-    starts = np.cumsum([0] + widths[:-1])
+    rows = [len(lhs) for lhs, _ in sides]
+    lhs, rhs = (np.concatenate([side[k].ravel() for side in sides])
+                for k in (0, 1))
+    segment = np.repeat(widths, rows)  # the width of each row of each check
+    row_starts = np.cumsum(segment) - segment
 
-    def top(a):  # the largest |entry| of each tuple, per check: (Q, checks)
-        return np.maximum.reduceat(np.abs(a), starts, axis=1)
+    def top(a):  # the largest |entry| of each row of each check
+        return np.maximum.reduceat(np.abs(a), row_starts)
 
-    per_tuple = top(lhs - rhs) / (1.0 + np.maximum(top(lhs), top(rhs)))
-    return per_tuple.max(axis=0, initial=0.0)
+    per_row = top(lhs - rhs) / (1.0 + np.maximum(top(lhs), top(rhs)))
+    return np.maximum.reduceat(per_row, np.cumsum(rows) - rows)

@@ -59,9 +59,7 @@ def solve_mu(nabla_b: np.ndarray, b: np.ndarray):
     if bb == 0.0:
         mu = np.zeros(n_dirs)
     else:
-        mu = np.array(
-            [float((nabla_b[i] * b).sum()) / bb for i in range(n_dirs)]
-        )
+        mu = (nabla_b * b).reshape(n_dirs, -1).sum(axis=1) / bb
     resid = nabla_b - mu.reshape((-1,) + (1,) * b.ndim) * b
     num = float(np.sqrt((resid ** 2).sum()))
     den = float(np.sqrt((nabla_b ** 2).sum()))

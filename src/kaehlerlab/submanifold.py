@@ -42,13 +42,14 @@ import numpy as np
 from . import ambient as amb
 from .jets import (
     DIVISION_FLOOR,
+    MAX_DEGREE,
     Jet,
     einsum,
     jet_gradient,
     jet_matrix_inverse,
     jet_partials,
     jet_values,
-    seed_point,
+    order_sizes,
     stack,
 )
 
@@ -120,11 +121,18 @@ class ImmersionCase:
         u = np.asarray(u, dtype=float)
         if u.shape != (nu,):
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
-        seeds = seed_point(u)
-        z = seeds[0::2] + seeds[1::2] * 1j
+        # z_a = u_2a + i u_2a+1: value, then 1 at u_2a and i at u_2a+1,
+        # which graded-lex order stores at positions 1 + 2a and 2 + 2a.
+        zc = np.zeros((self.m, order_sizes(nu)[MAX_DEGREE]), complex)
+        zc[:, 0] = u[0::2] + 1j * u[1::2]
+        a = np.arange(self.m)
+        zc[a, 1 + 2 * a], zc[a, 2 + 2 * a] = 1.0, 1j
+        z = Jet._wrap(nu, zc)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             w = stack(self.chart(list(z))).c
-        return Jet(nu, np.stack([w.real, w.imag], 1).reshape(-1, w.shape[-1]))
+        coords = np.empty((2 * len(w), w.shape[-1]))
+        coords[0::2], coords[1::2] = w.real, w.imag
+        return Jet._wrap(nu, coords)
 
     def map_values(self, u) -> np.ndarray:
         """F(u) as floats; the chart runs unchanged on Python complex."""
@@ -254,12 +262,15 @@ def covariant_derivative(T, dT, gamma, gamma_perp, slots) -> np.ndarray:
     directions s, times T with the slot's axis swapped to the front and the
     rest flattened: the two operands ``np.tensordot`` would form.
     """
-    # conn[kind][(s, x), y]: coefficient of T[..y..] in (nabla_s T)[..x..].
-    conn = {
-        "t": -gamma.transpose(1, 2, 0).reshape(-1, len(gamma)),
-        "u": gamma.transpose(1, 0, 2).reshape(-1, len(gamma)),
-        "n": -gamma_perp.transpose(2, 1, 0).reshape(-1, len(gamma_perp)),
+    # conn[kind][(s, x), y]: coefficient of T[..y..] in (nabla_s T)[..x..],
+    # built for the kinds in ``slots`` only.
+    build = {
+        "t": lambda: -gamma.transpose(1, 2, 0).reshape(-1, len(gamma)),
+        "u": lambda: gamma.transpose(1, 0, 2).reshape(-1, len(gamma)),
+        "n": lambda: -gamma_perp.transpose(2, 1, 0).reshape(-1,
+                                                            len(gamma_perp)),
     }
+    conn = {kind: build[kind]() for kind in set(slots)}
     out = np.array(dT, dtype=float)
     for axis, kind in enumerate(slots):
         Ts = T.swapaxes(axis, 0)
@@ -374,7 +385,7 @@ class PointGeometry:
             norm2 = einsum("A,AB,B->", v, G, v)
             if norm2.value < FRAME_NORM_FLOOR ** 2:
                 continue
-            n0 = v * norm2.sqrt().reciprocal()
+            n0 = v * norm2.rsqrt()
             normals.append(n0)
             if len(normals) < p:
                 normals.append(einsum("AB,B->A", self.J_amb, n0))
@@ -423,7 +434,7 @@ class PointGeometry:
         # One ambient derivative of the rows (T, N) along each d/du^i serves
         # b here and the normal connection next: one connection call.
         nu = self.nu
-        TN = stack([*self.T_jet, *self.N_jet])
+        TN = Jet._wrap(nu, np.concatenate([self.T_jet.c, self.N_jet.c]))
         DTN = jet_partials(TN)
         if self.connection_amb is not None:
             DTN = DTN + self.connection_amb(TN.truncate(1), nu)
@@ -628,4 +639,4 @@ def sectional_curvature(data: ExtrinsicData, i: int = 0, j: int = 1) -> float:
 def max_shape_operator_determinant(data: ExtrinsicData) -> float:
     """Largest |det A| over the normal frame; nonzero means a nondegenerate
     normal direction exists at this point."""
-    return float(max(abs(np.linalg.det(data.A[a])) for a in range(2 * data.l)))
+    return float(np.abs(np.linalg.det(data.A)).max())

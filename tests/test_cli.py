@@ -255,6 +255,32 @@ class TestRun:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_byte_identical_across_blas_threads_at_higher_dimension(self):
+        # The m >= 2 cases, whose jets in n = 4 and n = 6 variables the
+        # catalog never makes, render the same bytes with one and with two
+        # BLAS threads.
+        tests = Path(__file__).resolve().parent
+        src = str(tests.parent / "src")
+        code = (
+            "import sys\n"
+            "from extra_cases import QUADRIC_Q3, SEGRE\n"
+            "from kaehlerlab import cli, submanifold\n"
+            "for case in (SEGRE, QUADRIC_Q3):\n"
+            "    config = cli.RunConfig(cases=[case.name], points=3, seed=7)\n"
+            "    report, failed, mismatched = cli.run_case(\n"
+            "        case, config, len(submanifold.CATALOG))\n"
+            "    assert not failed and not mismatched\n"
+            "    sys.stdout.write(cli.render_json(report))\n")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join([src,
+                                                                  str(tests)]),
+                     "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+        assert outputs[0].count(b"\n") == 2
+        assert outputs[0] == outputs[1]
+
     def test_frame_residuals_reported(self, tmp_path):
         # Every evaluated point reports the four frame-health residuals, and
         # they keep the report byte-identical across runs.
@@ -286,6 +312,22 @@ class TestRun:
         assert json.loads(rendered) == report
         assert rendered.endswith("\n")
         assert rendered.count("\n") == 1
+
+    @pytest.mark.parametrize("cases", [["graph_c3", "veronese_cp2"],
+                                       ["linear_c2"]],
+                             ids=["two_cases", "one_case"])
+    def test_render_json_is_json_dumps(self, cases):
+        # Encoded point by point, the report has the bytes of one json.dumps
+        # of the whole, with null aggregates and a report of other
+        # top-level keys too.
+        config = cli.RunConfig(cases=cases, points=2, seed=3)
+        reports = [cli.run(config)[1]]
+        case, _, _ = cli.run_case(sm.get_case("linear_c2"), config, 0)
+        case["aggregates"]["max_residual"] = None
+        reports.append({"seed": 3, "cases": [case, case]})
+        for report in reports:
+            want = json.dumps(report, sort_keys=True, separators=(",", ":"))
+            assert cli.render_json(report) == want + "\n"
 
     def test_classification_recorded(self, capsys):
         assert run_cli(

@@ -132,6 +132,12 @@ class TestComplexDimensionThree:
             assert theorems["passed"] is (True if case is QUADRIC_Q3 else None)
 
 
+#: The checks whose sides do not depend on the tuples: one row each.
+TUPLE_INDEPENDENT = {"eq_1_10_hermitian", "eq_1_11_parallel_j",
+                     "two_path_nabla_b", "two_path_r_perp", "two_path_r",
+                     "two_path_nabla_r"}
+
+
 class TestTupleBatch:
     @pytest.mark.parametrize("case, u", [
         (sm.get_case("veronese_cp2"), [0.3, -0.6]),
@@ -139,7 +145,8 @@ class TestTupleBatch:
     ], ids=["veronese_cp2", "cubic_surface"])
     def test_each_tuple_evaluated_on_its_own(self, case, u):
         # Row q of a batch of tuples gives what tuple q gives alone: no check
-        # mixes one tuple's vectors into another's sides.
+        # mixes one tuple's vectors into another's sides.  A check that does
+        # not depend on the tuples gives one row, the one each tuple gives.
         data = sm.extrinsic_data(case, u)
         batch = idn._draw_tuples(np.random.default_rng(29), 8, 2 * case.m,
                                  2 * case.l)
@@ -148,10 +155,13 @@ class TestTupleBatch:
                  for q in range(8)]
         for chk in idn.REGISTRY:
             lhs, rhs = getattr(ev, chk.identity_id)()
-            assert lhs.shape[0] == rhs.shape[0] == 8, chk.identity_id
+            rows = 1 if chk.identity_id in TUPLE_INDEPENDENT else 8
+            assert lhs.shape[0] == rhs.shape[0] == rows, chk.identity_id
             for q in range(8):
                 lhs1, rhs1 = getattr(alone[q], chk.identity_id)()
-                for got, want in ((lhs[q], lhs1[0]), (rhs[q], rhs1[0])):
+                assert lhs1.shape[0] == rhs1.shape[0] == 1, chk.identity_id
+                row = q % rows
+                for got, want in ((lhs[row], lhs1[0]), (rhs[row], rhs1[0])):
                     np.testing.assert_allclose(
                         got, want, rtol=1e-12, atol=1e-14,
                         err_msg=f"{chk.identity_id}, tuple {q}")
@@ -190,7 +200,11 @@ class TestOnePassResiduals:
                                                for c in idn.REGISTRY]
         for r in results:
             lhs, rhs = getattr(ev, r["id"])()
-            want = max(sm.normalized_residual(lhs[q], rhs[q])
+            # One row for a tuple-independent check, one per tuple otherwise.
+            assert len(lhs) == (1 if r["id"] in TUPLE_INDEPENDENT else 8)
+            # Its one row stands for every tuple: the per-tuple maximum.
+            want = max(sm.normalized_residual(lhs[q % len(lhs)],
+                                              rhs[q % len(rhs)])
                        for q in range(8))
             assert r["residual"] == want, r["id"]
 

@@ -1,6 +1,9 @@
 """Jet arithmetic: definitions, ring axioms, and oracle agreement."""
 
 import math
+import re
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,8 +124,18 @@ class TestArithmetic:
         recip = operator_series(jet, (1.0, -1.0, 1.0, -1.0)) * (1.0 / c[..., 0])
         root = operator_series(jet, (1.0, 0.5, -0.125, 0.0625)) * np.sqrt(
             c[..., 0])
+        rroot = operator_series(jet, (1.0, -0.5, 0.375, -0.3125)) * (
+            1.0 / np.sqrt(c[..., 0]))
         assert np.array_equal(jet.reciprocal().c, recip.c)
         assert np.array_equal(jet.sqrt().c, root.c)
+        assert np.array_equal(jet.rsqrt().c, rroot.c)
+
+    def test_rsqrt_refuses_what_sqrt_refuses(self):
+        for bad in (seed_variable(0, 0.0, 1), seed_variable(0, -1.0, 2)):
+            with pytest.raises(ValueError, match="rsqrt"):
+                bad.rsqrt()
+        with pytest.raises(TypeError, match="rsqrt"):
+            Jet.constant(4.0 + 0j, 1).rsqrt()
 
 
 class TestExtract:
@@ -525,7 +538,9 @@ class TestOracle:
     def test_lowering_classes(self, spec):
         # Two jets run as one batched matmul, except at a repeated index.
         ins, out = spec.replace("...", "*").split("->")
-        plan = _pair_plan(*ins.split(","), out, *self._STEPS[spec])
+        n = 2
+        shapes = (shape + (order_sizes(n)[3],) for shape in self._STEPS[spec])
+        plan = _pair_plan(*ins.split(","), out, *shapes, n)
         assert (plan is None) == (spec == "ii,i->i")
 
     @settings(max_examples=30, deadline=None)
@@ -709,3 +724,111 @@ class TestOrderErrors:
     def test_truncate_cannot_raise_order(self):
         with pytest.raises(ValueError, match="order-1"):
             seed_variable(0, 0.5, 2).truncate(1).truncate(2)
+
+
+# -- the pair step of einsum against a naive polynomial product --------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "kaehlerlab"
+#: Every spec the package passes to ``jets.einsum`` (not ``np.einsum``).
+PACKAGE_SPECS = sorted({
+    spec for path in _SRC.glob("*.py")
+    for spec in re.findall(r'(?<![\w.])einsum\(\s*"([^"]+)"',
+                           path.read_text())})
+
+
+@lru_cache(maxsize=None)
+def _naive_product(n, order):
+    """M[k, i, j] = 1 where monomial i times monomial j is monomial k, over
+    the order-``order`` monomials, found by adding exponents."""
+    monomials = multi_indices(n)[:math.comb(n + order, order)]
+    where = {alpha: k for k, alpha in enumerate(monomials)}
+    M = np.zeros((len(monomials),) * 3)
+    for i, a in enumerate(monomials):
+        for j, b in enumerate(monomials):
+            k = where.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                M[k, i, j] = 1.0
+    return M
+
+
+def _naive_einsum(spec, operands):
+    """``spec`` on jets as one ``np.einsum`` of their coefficients, each
+    product of two polynomials one contraction with ``_naive_product``."""
+    n = operands[0].n
+    order = min(op.order for op in operands)
+    size = math.comb(n + order, order)
+    ins, out = spec.split("->")
+    free = [ch for ch in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+            if ch not in spec]
+    coef, acc = free[:len(operands)], free[len(operands):]
+    terms = [f"{sub}{c}" for sub, c in zip(ins.split(","), coef)]
+    tables, last = [], coef[0]
+    for c, k in zip(coef[1:], acc):
+        terms.append(f"{k}{last}{c}")
+        tables.append(_naive_product(n, order))
+        last = k
+    return np.einsum(",".join(terms) + f"->{out}{last}",
+                     *(op.c[..., :size] for op in operands), *tables,
+                     optimize=True)
+
+
+class TestPairStep:
+    """The gather, matmul and bincount of ``einsum``'s jet-by-jet step
+    against a naive polynomial product, on every spec of the package."""
+
+    def test_specs_found(self):
+        assert "iA,AB->iB" in PACKAGE_SPECS and "A,AB,B->" in PACKAGE_SPECS
+        assert len(PACKAGE_SPECS) >= 20
+
+    @pytest.mark.parametrize("broadcast", [False, True],
+                             ids=["plain", "ellipsis"])
+    @pytest.mark.parametrize("spec", PACKAGE_SPECS)
+    def test_matches_naive_product(self, spec, broadcast):
+        rng = np.random.default_rng(sum(map(ord, spec)) + broadcast)
+        ins, out = spec.split("->")
+        subs = ins.split(",")
+        if broadcast:
+            spec = ",".join("..." + sub for sub in subs) + "->..." + out
+        for n in range(1, 7):
+            # Sizes 1 to 3 (1 to 2 beside the batch axes, to keep the naive
+            # product small).
+            dims = {ch: int(rng.integers(1, 3 if broadcast else 4))
+                    for ch in ins if ch != ","}
+            operands = []
+            for k, sub in enumerate(subs):
+                # Operand 0 carries the batch axes (3, 2); the others the
+                # same, a trailing part or a size-1 axis to broadcast.
+                batch = ((3, 2) if k == 0 else
+                         [(3, 2), (2,), (), (1, 2)][rng.integers(4)]
+                         ) if broadcast else ()
+                order = int(rng.integers(0, 4))
+                shape = (*batch, *(dims[ch] for ch in sub),
+                         math.comb(n + order, order))
+                c = rng.uniform(-1, 1, shape)
+                if rng.integers(2):
+                    c = c + 1j * rng.uniform(-1, 1, shape)
+                operands.append(Jet(n, c))
+            got = einsum(spec, *operands)
+            want = _naive_einsum(spec, operands)
+            assert got.order == min(op.order for op in operands)
+            assert got.c.shape == want.shape, (spec, n)
+            assert np.iscomplexobj(got.c) == np.iscomplexobj(want)
+            np.testing.assert_allclose(got.c, want, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"{spec}, n={n}")
+
+    def test_plan_cache_keeps_orders_apart(self):
+        # One spec and operand shapes at two orders: two plans, each giving
+        # the product at its own order.
+        rng = np.random.default_rng(5)
+        a = Jet(3, rng.uniform(-1, 1, (2, 3, order_sizes(3)[3])))
+        b = Jet(3, rng.uniform(-1, 1, (3, 4, order_sizes(3)[3])))
+        _pair_plan.cache_clear()
+        full = einsum("ij,jk->ik", a, b)
+        low = einsum("ij,jk->ik", a.truncate(1), b.truncate(1))
+        assert _pair_plan.cache_info().currsize == 2
+        assert (full.order, low.order) == (3, 1)
+        assert low == full.truncate(1)
+        assert einsum("ij,jk->ik", a, b) == full
+        np.testing.assert_allclose(
+            full.c, _naive_einsum("ij,jk->ik", [a, b]), rtol=1e-13,
+            atol=1e-13)

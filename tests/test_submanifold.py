@@ -46,6 +46,27 @@ class TestCatalog:
             assert np.allclose([j.value for j in jets], vals)
 
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_map_jets_seeds_complex_coordinates(self, m):
+        # The chart runs on z_a = u_2a + i u_2a+1, seeded as one complex
+        # array: bit for bit the sum of the two seeded real coordinates.
+        seen = []
+
+        def chart(z):
+            seen.append(stack(z))
+            return [*z, z[0] * z[-1]]
+
+        case = sm.ImmersionCase("recorded", m, amb.flat(m + 1), chart,
+                                ((-1.0, 1.0),) * (2 * m), sm.GENERIC)
+        for u in np.random.default_rng(m).uniform(-1, 1, (3, 2 * m)):
+            case.map_jets(u)
+            seeds = seed_point(u)
+            want = seeds[0::2] + 1j * seeds[1::2]
+            z = seen.pop()
+            assert z.n == want.n and z.c.dtype == want.c.dtype
+            assert np.array_equal(z.c, want.c)
+
+
 class TestInducedMetric:
     def test_linear_identity(self):
         d = data_at("linear_c2", [0.8, -0.6])
@@ -112,6 +133,31 @@ class TestNormalFrame:
     def test_frame_count_matches_codimension(self):
         d = data_at("graph_c3", [0.4, 0.3])
         assert d.N.shape == (4, 6)
+
+    @pytest.mark.parametrize("case", [sm.get_case("graph_c3"),
+                                      sm.get_case("veronese_cp2"), SEGRE,
+                                      QUADRIC_Q3], ids=lambda c: c.name)
+    def test_one_series_normalization(self, case, monkeypatch):
+        # Each normal is scaled by norm2^(-1/2) as one series; the former
+        # sqrt().reciprocal() takes two.  The first pair is normalized
+        # straight from its candidate, so it differs by the series' own
+        # rounding: 1e-15 of the normal's largest coefficient.  Later ones
+        # are projected against earlier normals first, which carries that
+        # rounding on: 16 ulps of it.  The frame is G-orthonormal as jets.
+        rng = np.random.default_rng(13)
+        eps = np.finfo(float).eps
+        for u in rng.uniform(-0.9, 0.9, (4, 2 * case.m)):
+            one = sm.PointGeometry(case, u)
+            with monkeypatch.context() as mp:
+                mp.setattr(Jet, "rsqrt", lambda j: j.sqrt().reciprocal())
+                two = sm.PointGeometry(case, u)
+            diff = np.abs(one.N_jet.c - two.N_jet.c).max(axis=(1, 2))
+            scale = 1.0 + np.abs(two.N_jet.c).max(axis=(1, 2))
+            assert (diff[:2] <= 1e-15 * scale[:2]).all(), (u, diff)
+            assert (diff <= 16 * eps * scale).all(), (u, diff)
+            gram = einsum("aA,AB,bB->ab", one.N_jet, one.g_amb_jet, one.N_jet)
+            eye = Jet.constant(np.eye(2 * case.l), gram.n).truncate(gram.order)
+            assert np.abs(gram.c - eye.c).max() <= 1e-13
 
 
 class TestSecondFundamentalForm:
