@@ -11,16 +11,16 @@ real chart vectors.  With x the chart point, rho = 1 + |x|^2, k = 4/c and
 W = (x, Jx)/rho, the Fubini-Study metric is k/rho I minus the rank-two term
 k W^T W, and its Levi-Civita connection (the same for every ``c``) pairs
 the vectors with W.  ``metric`` forms W and 1/rho once per chart point and
-returns the metric jet, the connection on jet rows and the float
-Christoffel symbols, all three from those values (``Metric``).  The
-curvature of a complex space form (``curvature_operator``) is a quadratic
-form in the pairings of its four slots.  Metric components are produced as
-jets of the chart point, so differentiating them
-(``christoffel_from_metric``) gives an independent reference for the
-closed-form connection, and differentiating that connection once more
-(``curvature_from_connection``) one for the closed-form curvature.  Its two
-kernels, ``levi_civita`` and ``connection_curvature``, serve the induced and
-normal connections of a submanifold too.
+returns the metric jet and the connection on jet rows, both from those
+values (``Metric``); the Christoffel symbols are that connection on the
+chart basis.  The curvature of a complex space form
+(``curvature_operator``) is a quadratic form in the pairings of its four
+slots.  Metric components are produced as jets of the chart point, so
+differentiating them (``christoffel_from_metric``) gives an independent
+reference for the closed-form connection; the tests differentiate that
+reference once more for the closed-form curvature.  Its two kernels,
+``levi_civita`` and ``connection_curvature``, serve the induced and normal
+connections of a submanifold too.
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .jets import (
-    Jet,
-    einsum,
-    jet_gradient,
-    jet_matrix_inverse,
-    jet_partials,
-    jet_values,
-    seed_point,
-)
+from .jets import Jet, einsum, jet_matrix_inverse, jet_partials
 
 FLAT = "flat"
 FUBINI_STUDY = "fubini_study"
@@ -97,11 +89,11 @@ class Metric(NamedTuple):
     the components ``g``, a ``(d, d)`` jet; ``connection``, taking jet or
     float rows Y (shape ``(q, d)``) and a count p to Gamma(Y_i, Y_b) for the
     first p rows and every row, indexed ``[i, b, C]`` (``None`` for flat
-    space); and the floats Gamma^C_{AB} at the point, ``[C, A, B]``."""
+    space).  On the chart basis it gives the Christoffel symbols,
+    Gamma^C_{AB} at ``[A, B, C]``."""
 
     g: Jet
     connection: Callable | None
-    christoffel: np.ndarray
 
 
 def metric(model: AmbientModel, x: Jet) -> Metric:
@@ -117,15 +109,14 @@ def metric(model: AmbientModel, x: Jet) -> Metric:
         Gamma(X, Y) = -(<W_0, Y> X + <W_1, Y> JX + <W_0, X> Y + <W_1, X> JY),
 
     the real form of -(X^a <wbar, Y> + Y^a <wbar, X>)/rho, free of ``c``.
-    W and 1/rho are formed once, at the order of ``x``, for all three fields;
+    W and 1/rho are formed once, at the order of ``x``, for both fields;
     the connection runs at the order of its rows (W truncated to it).
     """
     d = model.real_dim
     if len(x) != d:
         raise ValueError(f"chart point has {len(x)} components, expected {d}")
     if model.kind == FLAT:
-        return Metric(Jet.constant(np.eye(d), x.n).truncate(x.order), None,
-                      np.zeros((d, d, d)))
+        return Metric(Jet.constant(np.eye(d), x.n).truncate(x.order), None)
     IJ = _with_j(model)
     inv_rho = (1.0 + (x * x).sum()).reciprocal()
     W = einsum("sAB,B->sA", IJ, x) * inv_rho
@@ -137,9 +128,7 @@ def metric(model: AmbientModel, x: Jet) -> Metric:
         M = einsum("sb,siC->ibC", WY, einsum("sAB,iB->siA", IJ, Y))
         return -(M[:p] + M.transpose(1, 0, 2)[:p])
 
-    # Gamma(e_A, e_B): the same M on the chart basis, from the values of W.
-    half = np.einsum("sCA,sB->CAB", IJ, jet_values(W))
-    return Metric(g, connection, -(half + half.transpose(0, 2, 1)))
+    return Metric(g, connection)
 
 
 def levi_civita(G: Jet, G_inv: Jet) -> Jet:
@@ -158,11 +147,6 @@ def christoffel_from_metric(G: Jet) -> Jet:
     """
     G = (G + G.T) * 0.5
     return levi_civita(G, jet_matrix_inverse(G))
-
-
-def christoffel(model: AmbientModel, x) -> np.ndarray:
-    """Ambient Christoffel symbols Gamma^C_{AB} as jets at a chart point."""
-    return christoffel_from_metric(metric(model, x).g)
 
 
 def curvature_operator(c: float, P, K):
@@ -193,66 +177,3 @@ def connection_curvature(w, dw) -> np.ndarray:
     indexed ``[i, j, x, y]``."""
     half = dw + np.einsum("ixs,jsy->ijxy", w, w)
     return half - half.transpose(1, 0, 2, 3)
-
-
-def curvature_from_connection(model: AmbientModel, x) -> np.ndarray:
-    """Curvature by differentiating the connection: the second, independent path.
-
-    Returns the components R^D_{CAB} of R(e_A, e_B)e_C = R^D_{CAB} e_D.
-    """
-    Gamma = christoffel(model, seed_point(x))
-    # w_A[D, C] = Gamma^D_{AC}, and d_A w_B[D, C] = d_A Gamma^D_{BC}.
-    F = connection_curvature(jet_values(Gamma).transpose(1, 0, 2),
-                             np.einsum("ADBC->ABDC", jet_gradient(Gamma)))
-    return F.transpose(2, 3, 0, 1)
-
-
-def curvature_closed_form_tensor(model: AmbientModel, x) -> np.ndarray:
-    """Closed-form curvature over the chart basis, as R^D_{CAB}."""
-    d = model.real_dim
-    g = jet_values(metric(model, seed_point(x)).g)
-    Kg = complex_structure(model).T @ g  # <J e_A, e_B>
-    # Slot s runs over the basis on axis s of [A, B, C, E].
-    ix = np.ix_(*[np.arange(d)] * 4)
-    pairs = [(s, t) for s in range(4) for t in range(4)]
-    P = {st: g[ix[st[0]], ix[st[1]]] for st in pairs}
-    K = {st: Kg[ix[st[0]], ix[st[1]]] for st in pairs}
-    # <R(e_A, e_B) e_C, e_E>, the last index raised.
-    return np.einsum("DE,ABCE->DCAB", np.linalg.inv(g),
-                     curvature_operator(model.c, P, K))
-
-
-def holomorphic_sectional_curvature(model: AmbientModel, x, X) -> float:
-    """g(R(X, JX)JX, X) / g(X, X)^2 using the differentiated-connection path."""
-    g = jet_values(metric(model, seed_point(x)).g)
-    J = complex_structure(model)
-    R = curvature_from_connection(model, x)
-    X = np.asarray(X, float)
-    JX = J @ X
-    RX = np.einsum("dcab,a,b,c->d", R, X, JX, JX)
-    return float((RX @ g @ X) / (X @ g @ X) ** 2)
-
-
-def check_kaehler(model: AmbientModel, x, metric_perturbation=None) -> dict:
-    """Residual report for the Hermitian and parallel-J conditions.
-
-    ``metric_perturbation`` (a constant matrix added to the metric) exists
-    for negative-control tests; failures are reported, never raised.
-    """
-    G = metric(model, seed_point(x)).g
-    if metric_perturbation is not None:
-        G = G + np.asarray(metric_perturbation, float)
-    gval = jet_values(G)
-    J = complex_structure(model)
-
-    hermitian = np.abs(J.T @ gval @ J - gval).max() / (1.0 + np.abs(gval).max())
-
-    Gamma = christoffel_from_metric(G)
-    Gval = jet_values(Gamma)
-    # J is constant, so parallel J reduces to Gamma J - J Gamma per direction.
-    nabla_J = np.einsum("cad,db->cab", Gval, J) - np.einsum(
-        "dab,cd->cab", Gval, J
-    )
-    parallel_j = np.abs(nabla_J).max() / (1.0 + np.abs(Gval).max())
-
-    return {"hermitian": float(hermitian), "parallel_j": float(parallel_j)}

@@ -323,6 +323,15 @@ def _default_seed() -> int:
         raise ConfigError(f"KAEHLERLAB_SEED must be an integer, got {env!r}") from exc
 
 
+def _of_type(value, kinds, key: str):
+    """A config-file value, refused unless it is one of ``kinds``: no
+    coercion, and JSON ``true`` and ``false`` are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(
+            f"bad value for {key} in config file: {json.dumps(value)}")
+    return value
+
+
 def build_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
@@ -334,15 +343,16 @@ def build_config(args) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         default_seed = _default_seed()
+        config.points = _of_type(raw.get("points", config.points), int,
+                                 "points")
+        config.seed = _of_type(raw.get("seed", default_seed), int, "seed")
+        config.cases = [_of_type(name, str, "cases") for name in
+                        _of_type(raw.get("cases", config.cases), list, "cases")]
+        tolerances = _of_type(raw.get("tolerances", {}), dict, "tolerances")
         try:
-            config.cases = list(raw.get("cases", config.cases))
-            config.points = int(raw.get("points", config.points))
-            config.seed = int(raw.get("seed", default_seed))
-            config.tolerances = {
-                key: float(value)
-                for key, value in dict(raw.get("tolerances", {})).items()
-            }
-        except (TypeError, ValueError) as exc:
+            config.tolerances = {key: float(_of_type(value, (int, float), key))
+                                 for key, value in tolerances.items()}
+        except OverflowError as exc:
             raise ConfigError(f"bad value in config file: {exc}") from exc
         config.out = raw.get("out", config.out)
         config.fmt = raw.get("format", config.fmt)

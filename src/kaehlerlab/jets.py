@@ -24,11 +24,11 @@ coefficient arrays.  A product of two jet tensors in ``einsum`` is one
 batched matmul over the coefficient pairs of the product table: a cached
 plan gathers each operand's matrices with one flat ``take`` and scatters
 the products into the output coefficients with one ``np.bincount``, which
-adds them in the table's order.  ``*`` and the series of ``reciprocal``,
-``sqrt`` and ``rsqrt`` sum the same pairs with ``np.add.reduceat``, which is
-faster on their elementwise shapes.  Truncated Taylor arithmetic holds over
-C unchanged, so a holomorphic chart runs on complex jets z = x + i y
-(``sqrt`` and ``rsqrt`` alone are real-only).
+adds them in the table's order.  ``*`` and the series of ``reciprocal``
+and ``rsqrt`` sum the same pairs with ``np.add.reduceat``, which is faster
+on their elementwise shapes.  Truncated Taylor arithmetic holds over C
+unchanged, so a holomorphic chart runs on complex jets z = x + i y
+(``rsqrt`` alone is real-only).
 """
 
 from __future__ import annotations
@@ -254,9 +254,6 @@ class Jet:
     def T(self) -> "Jet":
         return self.transpose()
 
-    def reshape(self, *shape) -> "Jet":
-        return Jet._wrap(self.n, self.c.reshape(*shape, self.c.shape[-1]))
-
     def sum(self) -> "Jet":
         """Scalar jet: the sum of all entries."""
         return Jet._wrap(self.n, self.c.reshape(-1, self.c.shape[-1]).sum(0))
@@ -364,14 +361,10 @@ class Jet:
             )
         return a0
 
-    def sqrt(self) -> "Jet":
-        a0 = self._positive_value("sqrt")
-        # sqrt(a0 (1 + e)) with e nilpotent: the binomial series.
-        return self._unit_series((1.0, 0.5, -0.125, 0.0625)) * np.sqrt(a0)
-
     def rsqrt(self) -> "Jet":
-        """1 / sqrt, as one binomial series: ``sqrt().reciprocal()`` in one
-        unit series and one floor check instead of two of each."""
+        """1 / sqrt, as one binomial series: the square root's series and
+        its reciprocal in one unit series and one floor check instead of
+        two of each."""
         a0 = self._positive_value("rsqrt")
         return (self._unit_series((1.0, -0.5, 0.375, -0.3125))
                 * (1.0 / np.sqrt(a0)))
@@ -606,22 +599,6 @@ def seed_point(x) -> Jet:
     return out
 
 
-def extract(jet: Jet, alpha) -> float | complex:
-    """Mixed partial derivative of the underlying function at the point."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != jet.n:
-        raise ValueError(f"multi-index length {len(alpha)} != n={jet.n}")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative exponent in multi-index {alpha}")
-    if sum(alpha) > jet.order:
-        raise ValueError(f"multi-index degree {sum(alpha)} exceeds the "
-                         f"jet's order {jet.order}")
-    scale = 1.0
-    for a in alpha:
-        scale *= math.factorial(a)
-    return scale * jet.c[index_position(jet.n)[alpha]].item()
-
-
 def project_head(jet: Jet, n_keep: int) -> Jet:
     """Restrict to the first ``n_keep`` variables, setting the rest to zero."""
     if n_keep > jet.n:
@@ -630,35 +607,6 @@ def project_head(jet: Jet, n_keep: int) -> Jet:
     out = Jet.constant(np.zeros(jet.shape), n_keep)
     out.c[..., dst] = jet.c[..., src]
     return out
-
-
-def fd_oracle(f, x, alpha, h: float) -> float:
-    """Central-difference estimate of a mixed partial derivative.
-
-    Iterates the two-point central stencil once per unit of each multi-index
-    component.  Accuracy is the caller's concern; this exists as a slow,
-    independent cross-check on the jet path.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    alpha = tuple(int(a) for a in alpha)
-    if sum(alpha) > MAX_DEGREE:
-        raise ValueError(f"multi-index degree {sum(alpha)} exceeds {MAX_DEGREE}")
-    x = np.asarray(x, dtype=float)
-
-    def recurse(a, pt):
-        for i, ai in enumerate(a):
-            if ai > 0:
-                lower = list(a)
-                lower[i] -= 1
-                up = pt.copy()
-                up[i] += h
-                down = pt.copy()
-                down[i] -= h
-                return (recurse(lower, up) - recurse(lower, down)) / (2.0 * h)
-        return float(f(pt) if len(pt) > 1 else f(pt[0]))
-
-    return recurse(list(alpha), x)
 
 
 def jet_matrix_inverse(mat: Jet, checked_value=None) -> Jet:

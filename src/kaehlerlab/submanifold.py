@@ -10,9 +10,10 @@ curvature and of the intrinsic curvature.
 Derivative bookkeeping is the delicate part.  All quantities are assembled
 in jet arithmetic over the immersion parameters alone: the ambient is
 evaluated once per point on the jets of F(u) (``ambient.metric``: the metric
-jet, the closed-form connection and its float Christoffel symbols), so no
-ambient chart derivative is taken.  Each jet tensor is one
-array-valued ``Jet``, built by broadcasting arithmetic and ``jets.einsum``.
+jet and the closed-form connection, whose values on the chart basis are the
+float Christoffel symbols), so no ambient chart derivative is taken.  Each
+jet tensor is one array-valued ``Jet``, built by broadcasting arithmetic and
+``jets.einsum``.
 Each jet carries only the order its consumers read, since a derivative
 lowers the order by one and mixed-order arithmetic truncates to the lower
 order: F is order 3; the ambient metric (evaluated on F truncated to
@@ -42,14 +43,13 @@ import numpy as np
 from . import ambient as amb
 from .jets import (
     DIVISION_FLOOR,
-    MAX_DEGREE,
     Jet,
     einsum,
     jet_gradient,
     jet_matrix_inverse,
     jet_partials,
     jet_values,
-    order_sizes,
+    seed_point,
     stack,
 )
 
@@ -121,25 +121,13 @@ class ImmersionCase:
         u = np.asarray(u, dtype=float)
         if u.shape != (nu,):
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
-        # z_a = u_2a + i u_2a+1: value, then 1 at u_2a and i at u_2a+1,
-        # which graded-lex order stores at positions 1 + 2a and 2 + 2a.
-        zc = np.zeros((self.m, order_sizes(nu)[MAX_DEGREE]), complex)
-        zc[:, 0] = u[0::2] + 1j * u[1::2]
-        a = np.arange(self.m)
-        zc[a, 1 + 2 * a], zc[a, 2 + 2 * a] = 1.0, 1j
-        z = Jet._wrap(nu, zc)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            x = seed_point(u)
+            z = x[0::2] + 1j * x[1::2]
             w = stack(self.chart(list(z))).c
         coords = np.empty((2 * len(w), w.shape[-1]))
         coords[0::2], coords[1::2] = w.real, w.imag
         return Jet._wrap(nu, coords)
-
-    def map_values(self, u) -> np.ndarray:
-        """F(u) as floats; the chart runs unchanged on Python complex."""
-        u = np.asarray(u, dtype=float)
-        z = [complex(u[2 * a], u[2 * a + 1]) for a in range(self.m)]
-        w = np.array(self.chart(z), dtype=complex)
-        return np.stack([w.real, w.imag], 1).ravel()
 
 
 def _chart_linear(z):
@@ -332,8 +320,16 @@ class PointGeometry:
         # only; the connection enters only beside first partials, so it runs
         # on order-1 rows.
         ambient = amb.metric(self.case.ambient, self.F.truncate(2))
-        self.g_amb_jet, self.connection_amb, self.gamma_amb = ambient
+        self.g_amb_jet, self.connection_amb = ambient
         self.g_amb = jet_values(self.g_amb_jet)
+        # Gamma^C_{AB} at F(u): the connection on the chart basis, as
+        # constant rows, so at order 0.
+        if self.connection_amb is None:
+            self.gamma_amb = np.zeros((self.d,) * 3)
+        else:
+            basis = Jet.constant(np.eye(self.d), self.nu).truncate(0)
+            self.gamma_amb = jet_values(
+                self.connection_amb(basis, self.d).transpose(2, 0, 1))
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
 

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from oracles import (
+    check_kaehler,
+    christoffel,
+    closed_form_christoffel,
+    curvature_closed_form_tensor,
+    curvature_from_connection,
+    holomorphic_sectional_curvature,
+)
 
 from kaehlerlab import ambient as amb
-from kaehlerlab.jets import jet_values, multi_indices, seed_point, stack
+from kaehlerlab.jets import Jet, jet_values, multi_indices, seed_point, stack
 
 MODELS = [
     amb.flat(2),
@@ -48,7 +56,7 @@ def hermitian_metric(model, x):
     s_im = -cross_im * scale
     G = stack([stack([s_re, s_im], axis=-1), stack([-s_im, s_re], axis=-1)],
               axis=1)
-    return G.reshape(2 * N, 2 * N)
+    return Jet(G.n, G.c.reshape(2 * N, 2 * N, -1))
 
 
 class TestMetricValues:
@@ -120,12 +128,12 @@ class TestComplexStructure:
 class TestConnection:
     def test_flat_christoffel_vanishes(self):
         model = amb.flat(2)
-        G = amb.christoffel(model, seed_point([0.5, 0.1, -0.3, 0.7]))
+        G = christoffel(model, seed_point([0.5, 0.1, -0.3, 0.7]))
         assert np.abs(jet_values(G)).max() == 0.0
 
     def test_torsion_free_exact(self):
         model = amb.fubini_study(4.0, 2)
-        G = amb.christoffel(model, seed_point([0.4, -0.2, 0.1, 0.6]))
+        G = christoffel(model, seed_point([0.4, -0.2, 0.1, 0.6]))
         d = model.real_dim
         for C in range(d):
             for A in range(d):
@@ -135,8 +143,8 @@ class TestConnection:
     def test_closed_form_matches_metric_route(self):
         for model in CONNECTION_MODELS:
             for x in random_points(model, 5, 37):
-                want = jet_values(amb.christoffel(model, seed_point(x)))
-                got = amb.metric(model, seed_point(x)).christoffel
+                want = jet_values(christoffel(model, seed_point(x)))
+                got = closed_form_christoffel(model, x)
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_closed_form_on_jets(self):
@@ -149,21 +157,23 @@ class TestConnection:
             basis = np.eye(d)
             for x in random_points(model, 2, 41):
                 seeds = seed_point(x)
-                want = amb.christoffel(model, seeds)
+                want = christoffel(model, seeds)
                 got = amb.metric(model, seeds).connection(basis, d)  # [A, B, C]
                 diff = got.c[..., :n2] - want.transpose(1, 2, 0).c[..., :n2]
                 assert np.abs(diff).max() <= 1e-12
 
     def test_connection_on_a_prefix_of_rows(self):
         # Gamma(Y_i, Y_b) for the first p rows Y_i and every row Y_b, against
-        # the float Christoffel symbols of the same evaluation.
+        # the Christoffel symbols of the same evaluation: the connection on
+        # the chart basis.
         rng = np.random.default_rng(47)
         for model in CONNECTION_MODELS[2:]:
             d = model.real_dim
             ambient = amb.metric(model, seed_point(rng.uniform(-1, 1, d)))
             Y = rng.uniform(-1, 1, (5, d))
             got = jet_values(ambient.connection(Y, 3))
-            want = np.einsum("CAB,iA,bB->ibC", ambient.christoffel, Y[:3], Y)
+            symbols = jet_values(ambient.connection(np.eye(d), d))  # [A, B, C]
+            want = np.einsum("ABC,iA,bB->ibC", symbols, Y[:3], Y)
             assert np.abs(got - want).max() <= 1e-12
 
     def test_metric_compatibility(self):
@@ -219,15 +229,15 @@ class TestCurvature:
     def test_two_paths_agree(self):
         for model in MODELS:
             for x in random_points(model, 20, 13):
-                R1 = amb.curvature_from_connection(model, x)
-                R2 = amb.curvature_closed_form_tensor(model, x)
+                R1 = curvature_from_connection(model, x)
+                R2 = curvature_closed_form_tensor(model, x)
                 den = 1 + max(np.abs(R1).max(), np.abs(R2).max())
                 assert np.abs(R1 - R2).max() / den <= 1e-8
 
     def test_first_bianchi(self):
         model = amb.fubini_study(4.0, 2)
         for x in random_points(model, 5, 17):
-            R = amb.curvature_from_connection(model, x)
+            R = curvature_from_connection(model, x)
             # R^D_{CAB} summed cyclically over (A, B, C) must vanish.
             d = model.real_dim
             worst = 0.0
@@ -249,7 +259,7 @@ class TestCurvature:
             for _ in range(5):
                 x = rng.uniform(-1, 1, model.real_dim)
                 X = rng.uniform(-1, 1, model.real_dim)
-                K = amb.holomorphic_sectional_curvature(model, x, X)
+                K = holomorphic_sectional_curvature(model, x, X)
                 assert K == pytest.approx(model.c, abs=1e-8)
 
 
@@ -289,14 +299,14 @@ class TestConnectionCurvature:
 
 class TestKaehlerCheck:
     def test_flat_exact(self):
-        report = amb.check_kaehler(amb.flat(2), [0.1, 0.2, 0.3, 0.4])
+        report = check_kaehler(amb.flat(2), [0.1, 0.2, 0.3, 0.4])
         assert report["hermitian"] == 0.0
         assert report["parallel_j"] == 0.0
 
     def test_fubini_study_residuals(self):
         model = amb.fubini_study(4.0, 2)
         for x in random_points(model, 20, 29):
-            report = amb.check_kaehler(model, x)
+            report = check_kaehler(model, x)
             assert report["hermitian"] <= 1e-10
             assert report["parallel_j"] <= 1e-9
 
@@ -304,6 +314,6 @@ class TestKaehlerCheck:
         model = amb.fubini_study(4.0, 2)
         rng = np.random.default_rng(31)
         P = 1e-3 * rng.uniform(-1, 1, (4, 4))
-        report = amb.check_kaehler(model, [0.4, -0.1, 0.2, 0.5],
+        report = check_kaehler(model, [0.4, -0.1, 0.2, 0.5],
                                    metric_perturbation=P)
         assert max(report.values()) >= 1e-4

@@ -59,6 +59,15 @@ class TestConfig:
         {"tolerances": {"eq_2_14": "NaN"}},
         {"cases": [1]},
         {"out": True},
+        # No coercion: a float, a bool or a string where another JSON type
+        # belongs, and an integer too large for a float.
+        {"points": 2.5},
+        {"points": True},
+        {"seed": 3.9},
+        {"seed": True},
+        {"tolerances": {"eq_2_14": True}},
+        {"tolerances": {"eq_2_14": 10 ** 400}},
+        {"cases": "linear_c2"},
     ])
     def test_bad_config_file_field(self, tmp_path, raw):
         cfg = tmp_path / "cfg.json"

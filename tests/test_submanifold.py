@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 from extra_cases import CUBIC_SURFACE, QUADRIC_Q3, SEGRE
+from oracles import (
+    christoffel,
+    curvature_closed_form_tensor,
+    jet_sqrt,
+    map_values,
+)
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import identities as ids
@@ -42,7 +48,7 @@ class TestCatalog:
         for case in (*sm.CATALOG, rational):
             u = rng.uniform(-1, 1, 2 * case.m)
             jets = case.map_jets(u)
-            vals = case.map_values(u)
+            vals = map_values(case, u)
             assert np.allclose([j.value for j in jets], vals)
 
 
@@ -138,8 +144,8 @@ class TestNormalFrame:
                                       sm.get_case("veronese_cp2"), SEGRE,
                                       QUADRIC_Q3], ids=lambda c: c.name)
     def test_one_series_normalization(self, case, monkeypatch):
-        # Each normal is scaled by norm2^(-1/2) as one series; the former
-        # sqrt().reciprocal() takes two.  The first pair is normalized
+        # Each normal is scaled by norm2^(-1/2) as one series; the square
+        # root's series and its reciprocal take two.  The first pair is normalized
         # straight from its candidate, so it differs by the series' own
         # rounding: 1e-15 of the normal's largest coefficient.  Later ones
         # are projected against earlier normals first, which carries that
@@ -149,7 +155,7 @@ class TestNormalFrame:
         for u in rng.uniform(-0.9, 0.9, (4, 2 * case.m)):
             one = sm.PointGeometry(case, u)
             with monkeypatch.context() as mp:
-                mp.setattr(Jet, "rsqrt", lambda j: j.sqrt().reciprocal())
+                mp.setattr(Jet, "rsqrt", lambda j: jet_sqrt(j).reciprocal())
                 two = sm.PointGeometry(case, u)
             diff = np.abs(one.N_jet.c - two.N_jet.c).max(axis=(1, 2))
             scale = 1.0 + np.abs(two.N_jet.c).max(axis=(1, 2))
@@ -276,7 +282,7 @@ class TestAmbientCurvatureTerm:
         # Z, W normal (rp1) or tangent (r2), against the float closed form
         # over the chart basis.
         geo = sm.PointGeometry(case, u)
-        R = amb.curvature_closed_form_tensor(case.ambient, case.map_values(u))
+        R = curvature_closed_form_tensor(case.ambient, map_values(case, u))
         T, g_amb = jet_values(geo.T_jet), jet_values(geo.g_amb_jet)
         for normal, Z_jet in ((True, geo.N_jet), (False, geo.T_jet)):
             Z = jet_values(Z_jet)
@@ -356,7 +362,7 @@ class TestSurfaceInCurvedAmbient:
         d = sm.extrinsic_data(case, u)
         _assert_healthy(d, rec.PARALLEL)
         want = jet_values(
-            amb.christoffel(case.ambient, seed_point(case.map_values(u)))
+            christoffel(case.ambient, seed_point(map_values(case, u)))
         )
         assert np.abs(d.gamma_amb - want).max() <= 1e-12
 
