@@ -88,12 +88,20 @@ class Metric(NamedTuple):
     """The ambient metric at a chart point and the connection it determines:
     the components ``g``, a ``(d, d)`` jet; ``connection``, taking jet or
     float rows Y (shape ``(q, d)``) and a count p to Gamma(Y_i, Y_b) for the
-    first p rows and every row, indexed ``[i, b, C]`` (``None`` for flat
-    space).  On the chart basis it gives the Christoffel symbols,
-    Gamma^C_{AB} at ``[A, B, C]``."""
+    first p rows and every row, indexed ``[i, b, C]``.  On the chart basis
+    it gives the Christoffel symbols, Gamma^C_{AB} at ``[A, B, C]``.  Flat
+    space has no connection (``None``) and g is the identity there, so
+    ``lower`` returns its rows unchanged."""
 
     g: Jet
     connection: Callable | None
+
+    def lower(self, V):
+        """Jet or float rows V with their chart index lowered,
+        ``einsum("...A,AB->...B", V, g)``; V itself on flat space."""
+        if self.connection is None:
+            return V
+        return einsum("...A,AB->...B", V, self.g)
 
 
 def metric(model: AmbientModel, x: Jet) -> Metric:
@@ -111,6 +119,8 @@ def metric(model: AmbientModel, x: Jet) -> Metric:
     the real form of -(X^a <wbar, Y> + Y^a <wbar, X>)/rho, free of ``c``.
     W and 1/rho are formed once, at the order of ``x``, for both fields;
     the connection runs at the order of its rows (W truncated to it).
+    Flat space gets the identity metric and no connection, so its callers
+    skip the lowering products and the connection terms there.
     """
     d = model.real_dim
     if len(x) != d:

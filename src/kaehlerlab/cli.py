@@ -334,6 +334,8 @@ def _of_type(value, kinds, key: str):
 
 def build_config(args) -> RunConfig:
     config = RunConfig()
+    # KAEHLERLAB_SEED is read only when neither --seed nor the file sets it.
+    seed = args.seed
     if args.config:
         try:
             with open(args.config) as fh:
@@ -342,10 +344,11 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        default_seed = _default_seed()
         config.points = _of_type(raw.get("points", config.points), int,
                                  "points")
-        config.seed = _of_type(raw.get("seed", default_seed), int, "seed")
+        if "seed" in raw:
+            file_seed = _of_type(raw["seed"], int, "seed")
+            seed = file_seed if seed is None else seed
         config.cases = [_of_type(name, str, "cases") for name in
                         _of_type(raw.get("cases", config.cases), list, "cases")]
         tolerances = _of_type(raw.get("tolerances", {}), dict, "tolerances")
@@ -356,14 +359,11 @@ def build_config(args) -> RunConfig:
             raise ConfigError(f"bad value in config file: {exc}") from exc
         config.out = raw.get("out", config.out)
         config.fmt = raw.get("format", config.fmt)
-    else:
-        config.seed = _default_seed()
     if args.case:
         config.cases = list(args.case)
     if args.points is not None:
         config.points = args.points
-    if args.seed is not None:
-        config.seed = args.seed
+    config.seed = _default_seed() if seed is None else seed
     if args.tol:
         config.tolerances.update(_parse_tol(args.tol))
     if args.out is not None:

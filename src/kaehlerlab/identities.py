@@ -139,15 +139,11 @@ class _Evaluator:
     def _closed_form_r(self, V, forms) -> np.ndarray:
         """Closed-form ambient <R(V_0, V_1)V_2, V_3> from the slot vectors
         ``V[s, ..., n]``, with ``forms`` the forms <U, V> and <JU, V> on
-        their components; only the pairings ``curvature_operator`` reads are
-        formed, in one ``np.einsum``."""
-        # [form, slot, ..., n]: each slot vector through each form.
-        VF = V[None] @ forms.reshape(2, *(1,) * (V.ndim - 2), *forms.shape[1:])
-        pairings = np.einsum("k...n,k...n->k...", VF[_PAIR_FORM, _PAIR_S],
-                             V[_PAIR_T])
-        P = dict(zip(_P_PAIRS, pairings))
-        K = dict(zip(_K_PAIRS, pairings[len(_P_PAIRS):]))
-        return curvature_operator(self.d.c, P, K)
+        their components.  Flat space (c = 0) has no curvature: exact zeros
+        of the output shape ``V.shape[1:-1]``, with no pairings formed."""
+        if self.d.c == 0.0:
+            return np.zeros(V.shape[1:-1])
+        return curvature_operator(self.d.c, *_pairings(V, forms))
 
     # Closed-form ambient curvature <R(X, Y)Z, W> with each slot tangent
     # ("t") or normal ("n"), written in adapted-frame components.
@@ -359,6 +355,18 @@ class _Evaluator:
         lhs = self._inner_tan(self.nA_xi_X, self.Y)
         rhs = self._inner_tan(self.X, self.nA_xi_Y)
         return lhs[:, None], rhs[:, None]
+
+
+def _pairings(V, forms):
+    """The slot pairings ``curvature_operator`` reads, as the dicts P and K,
+    of the slot vectors ``V[s, ..., n]`` through ``forms`` (<U, V> and
+    <JU, V> on their components), formed in one ``np.einsum``."""
+    # [form, slot, ..., n]: each slot vector through each form.
+    VF = V[None] @ forms.reshape(2, *(1,) * (V.ndim - 2), *forms.shape[1:])
+    pairings = np.einsum("k...n,k...n->k...", VF[_PAIR_FORM, _PAIR_S],
+                         V[_PAIR_T])
+    return (dict(zip(_P_PAIRS, pairings)),
+            dict(zip(_K_PAIRS, pairings[len(_P_PAIRS):])))
 
 
 def _contract(T, *vecs) -> np.ndarray:

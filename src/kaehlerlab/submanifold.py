@@ -11,9 +11,11 @@ Derivative bookkeeping is the delicate part.  All quantities are assembled
 in jet arithmetic over the immersion parameters alone: the ambient is
 evaluated once per point on the jets of F(u) (``ambient.metric``: the metric
 jet and the closed-form connection, whose values on the chart basis are the
-float Christoffel symbols), so no ambient chart derivative is taken.  Each
-jet tensor is one array-valued ``Jet``, built by broadcasting arithmetic and
-``jets.einsum``.
+float Christoffel symbols), so no ambient chart derivative is taken.  On
+flat space that metric is the identity and there is no connection, so
+lowering an index (``Metric.lower``) returns its rows and the connection
+terms are not formed.  Each jet tensor is one array-valued ``Jet``, built
+by broadcasting arithmetic and ``jets.einsum``.
 Each jet carries only the order its consumers read, since a derivative
 lowers the order by one and mixed-order arithmetic truncates to the lower
 order: F is order 3; the ambient metric (evaluated on F truncated to
@@ -319,8 +321,8 @@ class PointGeometry:
         # (order 2) or what is derived from it, so it is needed to order 2
         # only; the connection enters only beside first partials, so it runs
         # on order-1 rows.
-        ambient = amb.metric(self.case.ambient, self.F.truncate(2))
-        self.g_amb_jet, self.connection_amb = ambient
+        self.metric_amb = amb.metric(self.case.ambient, self.F.truncate(2))
+        self.g_amb_jet, self.connection_amb = self.metric_amb
         self.g_amb = jet_values(self.g_amb_jet)
         # Gamma^C_{AB} at F(u): the connection on the chart basis, as
         # constant rows, so at order 0.
@@ -335,7 +337,7 @@ class PointGeometry:
 
     def _build_tangent(self):
         self.T_jet = jet_partials(self.F)
-        self.T_low = einsum("iA,AB->iB", self.T_jet, self.g_amb_jet)
+        self.T_low = self.metric_amb.lower(self.T_jet)
         g = einsum("iA,jA->ij", self.T_low, self.T_jet)
         # Exactly symmetric, so the Christoffel symbols are too.
         self.g_jet = (g + g.T) * 0.5
@@ -362,7 +364,7 @@ class PointGeometry:
     def _build_normal_frame(self, normal_seed_mix):
         d = self.d
         p = 2 * self.l
-        G = self.g_amb_jet
+        lower = self.metric_amb.lower
         if normal_seed_mix is None:
             candidates = np.eye(d)
         else:
@@ -377,8 +379,8 @@ class PointGeometry:
             coef = einsum("jA,A,ij->i", self.T_low, row, self.g_inv_jet)
             v = row - einsum("i,iA->A", coef, self.T_jet)
             for n in normals:
-                v = v - einsum("A,AB,B->", n, G, v) * n
-            norm2 = einsum("A,AB,B->", v, G, v)
+                v = v - einsum("A,A->", lower(n), v) * n
+            norm2 = einsum("A,A->", lower(v), v)
             if norm2.value < FRAME_NORM_FLOOR ** 2:
                 continue
             n0 = v * norm2.rsqrt()
@@ -391,7 +393,7 @@ class PointGeometry:
                 f"directions found at u={self.u}"
             )
         self.N_jet = stack(normals)
-        self.N_low = einsum("aA,AB->aB", self.N_jet, G)
+        self.N_low = lower(self.N_jet)
         self.N = jet_values(self.N_jet)
         NG = self.N @ self.g_amb
         self.frame_residuals = {
@@ -439,7 +441,7 @@ class PointGeometry:
             DTN[:, :nu] - einsum("kij,kA->ijA", self.gamma_jet, self.T_jet)
         )
         # b_vec lowered once serves b here and the Gauss route's bb.
-        self.b_low_jet = einsum("ijA,AB->ijB", self.b_vec_jet, self.g_amb_jet)
+        self.b_low_jet = self.metric_amb.lower(self.b_vec_jet)
         self.b_jet = einsum("ijA,aA->aij", self.b_low_jet, self.N_jet)
         # A[a, k, j] = b[a, j, t] g^tk
         self.A_jet = einsum("ajt,tk->akj", self.b_jet, self.g_inv_jet)
@@ -465,14 +467,13 @@ class PointGeometry:
         # then projection onto the normal frame.  Only its value is needed,
         # so it is assembled in floats with the ambient connection at F(u).
         bv = jet_values(self.b_vec_jet)
-        # [i, C, B] = Gamma^C_{AB} T_i^A, then paired with b_vec[j, k, B].
-        GT = np.tensordot(self.T, self.gamma_amb, ([1], [1]))
-        w = (
-            jet_gradient(self.b_vec_jet)
-            + bv @ GT.transpose(0, 2, 1)[:, None]
-            - np.einsum("tij,tkA->ijkA", gam, bv)
-            - np.einsum("tik,jtA->ijkA", gam, bv)
-        )
+        w = jet_gradient(self.b_vec_jet)
+        if self.connection_amb is not None:  # flat space: Gamma^C_{AB} = 0
+            # [i, C, B] = Gamma^C_{AB} T_i^A, then paired with b_vec[j, k, B].
+            GT = np.tensordot(self.T, self.gamma_amb, ([1], [1]))
+            w = w + bv @ GT.transpose(0, 2, 1)[:, None]
+        w = (w - np.einsum("tij,tkA->ijkA", gam, bv)
+             - np.einsum("tik,jtA->ijkA", gam, bv))
         nb2 = np.einsum("ijkA,aA->iajk", w, jet_values(self.N_low))
         self._gate("two_path_nabla_b", self.nabla_b, nb2)
 

@@ -12,7 +12,14 @@ from oracles import (
 )
 
 from kaehlerlab import ambient as amb
-from kaehlerlab.jets import Jet, jet_values, multi_indices, seed_point, stack
+from kaehlerlab.jets import (
+    Jet,
+    einsum,
+    jet_values,
+    multi_indices,
+    seed_point,
+    stack,
+)
 
 MODELS = [
     amb.flat(2),
@@ -104,6 +111,34 @@ class TestMetricValues:
             amb.fubini_study(-1.0, 2)
         with pytest.raises(ValueError):
             amb.flat(0)
+
+
+class TestLower:
+    def test_fubini_study_is_the_einsum(self):
+        # Bit for bit einsum("...A,AB->...B", V, g), for jet rows of any
+        # leading shape and order, and for float rows.
+        rng = np.random.default_rng(53)
+        for model in (amb.fubini_study(4.0, 2), amb.fubini_study(1.0, 3)):
+            d = model.real_dim
+            metric = amb.metric(model, seed_point(rng.uniform(-1, 1, d)))
+            rows = [Jet(d, rng.standard_normal((*lead, d, size)))
+                    for lead, size in (((), 1), ((3,), d + 1),
+                                       ((2, 3), len(multi_indices(d))))]
+            for V in rows:
+                want = einsum("...A,AB->...B", V, metric.g)
+                assert np.array_equal(metric.lower(V).c, want.c)
+            for V in (rng.uniform(-1, 1, d), rng.uniform(-1, 1, (4, d))):
+                want = einsum("...A,AB->...B", V, metric.g)
+                assert np.array_equal(metric.lower(V).c, want.c)
+
+    def test_flat_is_the_identity(self):
+        # No connection on flat space, and lowering returns its rows.
+        model = amb.flat(2)
+        metric = amb.metric(model, seed_point([0.3, -0.2, 0.9, 0.1]))
+        assert metric.connection is None
+        assert np.array_equal(jet_values(metric.g), np.eye(4))
+        V = seed_point([0.1, 0.2, 0.3, 0.4])
+        assert metric.lower(V) is V
 
 
 class TestComplexStructure:

@@ -93,6 +93,21 @@ class TestConfig:
             ["run", "--case", "linear_c2", "--points", "1"]
         ) == cli.EXIT_CONFIG_ERROR
 
+    def test_explicit_seed_skips_bad_env_seed(self, monkeypatch, tmp_path,
+                                              capsys):
+        # The variable is read only when neither --seed nor the file sets
+        # the seed, so a malformed one does not fail these runs.
+        monkeypatch.setenv("KAEHLERLAB_SEED", "x")
+        assert run_cli(
+            ["run", "--seed", "5", "--points", "1", "--case", "linear_c2"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cases": ["linear_c2"], "points": 1,
+                                   "seed": 3}))
+        assert run_cli(["run", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 3
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from extra_cases import CUBIC_SURFACE, CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
 
+from kaehlerlab import ambient as amb
 from kaehlerlab import cli
 from kaehlerlab import identities as idn
 from kaehlerlab import submanifold as sm
@@ -265,3 +266,45 @@ class TestAmbientProjection:
         by_id = {r["id"]: r for r in idn.run_identity_suite(bent, rng_seed=3)}
         assert by_id["eq_1_4_ambient_projection"]["residual"] >= 0.1
         assert not by_id["eq_1_4_codazzi"]["passed"]
+
+
+class TestFlatClosedForm:
+    @pytest.mark.parametrize("case, u", [
+        (sm.get_case("graph_c3"), [0.3, -0.4]),
+        (CUBIC_SURFACE, [0.4, -0.3, 0.2, 0.5]),
+    ], ids=["graph_c3", "cubic_surface"])
+    def test_zeros_of_the_closed_forms_shape(self, case, u, monkeypatch):
+        # At c = 0 the closed form returns exact zeros for the slot vectors
+        # of eq_1_3, eq_1_5 and the normal part, of the shape the full
+        # closed form gives on their pairings, which it makes all zeros.
+        data = sm.extrinsic_data(case, u)
+        assert data.c == 0.0
+        calls, closed_form_r = [], idn._Evaluator._closed_form_r
+
+        def spy(self, V, forms):
+            out = closed_form_r(self, V, forms)
+            calls.append((V, forms, out))
+            return out
+
+        monkeypatch.setattr(idn._Evaluator, "_closed_form_r", spy)
+        ev = idn._Evaluator(data, idn._draw_tuples(
+            np.random.default_rng(7), idn.N_TUPLES, 2 * case.m, 2 * case.l))
+        ev.eq_1_3_gauss()
+        ev.eq_1_5_ricci()
+        assert len(calls) == 3  # the normal part, eq_1_3, eq_1_5
+        for V, forms, out in calls:
+            full = amb.curvature_operator(0.0, *idn._pairings(V, forms))
+            assert out.shape == full.shape == V.shape[1:-1]
+            assert not out.any() and not full.any()
+
+    def test_no_pairings_on_flat_space(self, monkeypatch):
+        # The suite on a flat point never reaches the closed form.
+        def refuse(*args):
+            raise AssertionError("closed form evaluated at c = 0")
+
+        monkeypatch.setattr(idn, "curvature_operator", refuse)
+        monkeypatch.setattr(idn, "_pairings", refuse)
+        for case in (sm.get_case("graph_z2_c2"), CUBIC_SURFACE):
+            data = sm.extrinsic_data(case, [0.3] * (2 * case.m))
+            assert all(r["passed"] for r in
+                       idn.run_identity_suite(data, rng_seed=5))

@@ -723,10 +723,15 @@ class TestOrderErrors:
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "kaehlerlab"
 #: Every spec the package passes to ``jets.einsum`` (not ``np.einsum``).
-PACKAGE_SPECS = sorted({
+_SCANNED = {
     spec for path in _SRC.glob("*.py")
     for spec in re.findall(r'(?<![\w.])einsum\(\s*"([^"]+)"',
-                           path.read_text())})
+                           path.read_text())}
+#: ``Metric.lower``'s "...A,AB->...B" as the contractions it runs on a
+#: curved ambient: a vector, the rows T and N, the form b_vec, and the
+#: metric pairing <U, V> that lowering U and "A,A->" fold to.
+_LOWERED = ("A,AB->B", "iA,AB->iB", "aA,AB->aB", "ijA,AB->ijB", "A,AB,B->")
+PACKAGE_SPECS = sorted(_SCANNED - {"...A,AB->...B"} | set(_LOWERED))
 
 
 @lru_cache(maxsize=None)
@@ -770,6 +775,7 @@ class TestPairStep:
     against a naive polynomial product, on every spec of the package."""
 
     def test_specs_found(self):
+        assert "...A,AB->...B" in _SCANNED and "A,A->" in PACKAGE_SPECS
         assert "iA,AB->iB" in PACKAGE_SPECS and "A,AB,B->" in PACKAGE_SPECS
         assert len(PACKAGE_SPECS) >= 20
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from extra_cases import CUBIC_SURFACE, QUADRIC_Q3, SEGRE
+from dataclasses import fields
+
+from extra_cases import CUBIC_SURFACE, CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
 from oracles import (
     christoffel,
     curvature_closed_form_tensor,
@@ -209,6 +211,41 @@ class TestTwoPathGates:
                 d = sm.extrinsic_data(case, rng.uniform(-1, 1, 2))
                 for key, val in d.two_path.items():
                     assert val <= sm.TWO_PATH_TOL[key], (case.name, key, val)
+
+
+FLAT_CASES = [case for case in sm.CATALOG if case.ambient.kind == amb.FLAT]
+FLAT_CASES += [CUBIC_SURFACE, CUBIC_THREEFOLD]
+
+
+class TestFlatShortcut:
+    @pytest.mark.parametrize("case", FLAT_CASES, ids=lambda c: c.name)
+    def test_curved_path_on_flat_inputs_gives_the_same_data(self, case,
+                                                            monkeypatch):
+        # Flat space skips the lowering products and the connection terms.
+        # Forcing the curved path there, with the identity metric and a
+        # connection that returns zeros, must change no entry of any field:
+        # the flat path drops only products with exact identities and zeros.
+        u = np.random.default_rng(61).uniform(-0.5, 0.5, 2 * case.m)
+        want = sm.extrinsic_data(case, u)
+        d, calls = case.ambient.real_dim, []
+
+        def metric(model, x):
+            def connection(Y, p):
+                calls.append(p)
+                return Jet.constant(np.zeros((p, len(Y), d)),
+                                    x.n).truncate(Y.order)
+            return amb.Metric(Jet.constant(np.eye(d), x.n).truncate(x.order),
+                              connection)
+
+        monkeypatch.setattr(amb, "metric", metric)
+        got = sm.extrinsic_data(case, u)
+        assert calls == [d, 2 * case.m]  # the basis, then the rows (T, N)
+        for f in fields(sm.ExtrinsicData):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, dict):
+                assert a == b, f.name
+            else:
+                assert np.array_equal(a, b), f.name
 
 
 def _assert_healthy(d, expected_class):
