@@ -116,17 +116,21 @@ class TestMetricValues:
 class TestLower:
     def test_fubini_study_is_the_einsum(self):
         # Bit for bit einsum("...A,AB->...B", V, g), for jet rows of any
-        # leading shape and order, and for float rows.
+        # leading shape and order, and for float rows; for jet rows also the
+        # same spec with the leading axes written out.
         rng = np.random.default_rng(53)
         for model in (amb.fubini_study(4.0, 2), amb.fubini_study(1.0, 3)):
             d = model.real_dim
             metric = amb.metric(model, seed_point(rng.uniform(-1, 1, d)))
-            rows = [Jet(d, rng.standard_normal((*lead, d, size)))
-                    for lead, size in (((), 1), ((3,), d + 1),
-                                       ((2, 3), len(multi_indices(d))))]
-            for V in rows:
-                want = einsum("...A,AB->...B", V, metric.g)
-                assert np.array_equal(metric.lower(V).c, want.c)
+            for lead, size, spec in (((), 1, "A,AB->B"),
+                                     ((3,), d + 1, "iA,AB->iB"),
+                                     ((2, 3), len(multi_indices(d)),
+                                      "ijA,AB->ijB")):
+                V = Jet(d, rng.standard_normal((*lead, d, size)))
+                got = metric.lower(V).c
+                assert np.array_equal(
+                    got, einsum("...A,AB->...B", V, metric.g).c)
+                assert np.array_equal(got, einsum(spec, V, metric.g).c)
             for V in (rng.uniform(-1, 1, d), rng.uniform(-1, 1, (4, d))):
                 want = einsum("...A,AB->...B", V, metric.g)
                 assert np.array_equal(metric.lower(V).c, want.c)
