@@ -10,8 +10,11 @@ covers the fundamental equations of submanifold geometry (Gauss, Codazzi,
 Ricci), the Kaehler compatibility conditions, the interaction of the
 complex structure with the second fundamental form, the shape operators
 and their covariant derivatives, and the closed-form curvature expressions
-special to complex space forms.  Agreement between independent assembly
-routes for derived tensors is reported through the same interface.
+special to complex space forms.  The four agreements between independent
+assembly routes (``two_path_*``) report the gate residuals geometry
+recorded (``ExtrinsicData.two_path``) at the gates' own tolerances,
+``submanifold.TWO_PATH_TOL``.  On flat space (c = 0) the closed-form
+ambient curvature is exact zeros, with no slot vectors built.
 
 The two sides of each identity are assembled from different ExtrinsicData
 fields: no check compares a quantity against the code path that produced
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ambient import curvature_operator
-from .submanifold import ExtrinsicData, covariant_derivative
+from .submanifold import TWO_PATH_TOL, ExtrinsicData, covariant_derivative
 
 #: Random tuples of tangent and normal vectors each check runs on per point.
 N_TUPLES = 8
@@ -71,10 +75,10 @@ REGISTRY = (
     IdentityCheck("eq_2_13", "derivative of the normal curvature from derivatives of b and A", 1e-8),
     IdentityCheck("eq_2_14", "derivative of the normal curvature from shape-operator commutators", 1e-8),
     IdentityCheck("eq_2_15", "JZ-derivative of the normal curvature with the commutator correction", 1e-8),
-    IdentityCheck("two_path_nabla_b", "two assembly routes for nabla b agree", 1e-9),
-    IdentityCheck("two_path_r_perp", "two assembly routes for the normal curvature agree", 1e-8),
-    IdentityCheck("two_path_r", "two assembly routes for the intrinsic curvature agree", 1e-8),
-    IdentityCheck("two_path_nabla_r", "two assembly routes for nabla R agree", 1e-8),
+    IdentityCheck("two_path_nabla_b", "two assembly routes for nabla b agree", TWO_PATH_TOL["two_path_nabla_b"]),
+    IdentityCheck("two_path_r_perp", "two assembly routes for the normal curvature agree", TWO_PATH_TOL["two_path_r_perp"]),
+    IdentityCheck("two_path_r", "two assembly routes for the intrinsic curvature agree", TWO_PATH_TOL["two_path_r"]),
+    IdentityCheck("two_path_nabla_r", "two assembly routes for nabla R agree", TWO_PATH_TOL["two_path_nabla_r"]),
     IdentityCheck("nabla_a_self_adjoint", "covariant derivative of A stays self-adjoint", 1e-9),
 )
 
@@ -99,15 +103,6 @@ class _Evaluator:
         self.p = 2 * data.l
         self.X, self.Y, self.Z, self.W, self.xi, self.eta = tuples
         self.Q = len(self.X)
-        # The adapted frame: tangent components first, then normal ones.
-        # The bundles are orthogonal, so the metric and J are block diagonal
-        # and every pairing across slot kinds vanishes.
-        # <U, V> and <JU, V>: diag(g, I) and diag(J_tan^T g, J_nor^T).
-        nu, n = self.nu, self.nu + self.p
-        forms = self._forms = np.zeros((2, n, n))
-        forms[0, :nu, :nu], forms[0, nu:, nu:] = d.g, np.eye(self.p)
-        forms[1, :nu, :nu], forms[1, nu:, nu:] = d.J_tan.T @ d.g, d.J_nor.T
-        self._chart_forms = np.array([d.g_amb, d.J_amb.T @ d.g_amb])
         # b and nabla b with the normal index last, so that their tangent
         # slots lead, as ``_contract`` needs.
         self._b = d.b.transpose(1, 2, 0)
@@ -136,23 +131,30 @@ class _Evaluator:
     def _inner_tan(self, U, V) -> np.ndarray:
         return _dot(U @ self.d.g, V)
 
-    def _closed_form_r(self, V, forms) -> np.ndarray:
-        """Closed-form ambient <R(V_0, V_1)V_2, V_3> from the slot vectors
-        ``V[s, ..., n]``, with ``forms`` the forms <U, V> and <JU, V> on
-        their components.  Flat space (c = 0) has no curvature: exact zeros
-        of the output shape ``V.shape[1:-1]``, with no pairings formed."""
-        if self.d.c == 0.0:
-            return np.zeros(V.shape[1:-1])
-        return curvature_operator(self.d.c, *_pairings(V, forms))
+    @cached_property
+    def _forms(self) -> np.ndarray:
+        """<U, V> and <JU, V> in the adapted frame, tangent components
+        first: diag(g, I) and diag(J_tan^T g, J_nor^T).  The bundles are
+        orthogonal, so the metric and J are block diagonal and every pairing
+        across slot kinds vanishes."""
+        d, nu, n = self.d, self.nu, self.nu + self.p
+        forms = np.zeros((2, n, n))
+        forms[0, :nu, :nu], forms[0, nu:, nu:] = d.g, np.eye(self.p)
+        forms[1, :nu, :nu], forms[1, nu:, nu:] = d.J_tan.T @ d.g, d.J_nor.T
+        return forms
 
     # Closed-form ambient curvature <R(X, Y)Z, W> with each slot tangent
-    # ("t") or normal ("n"), written in adapted-frame components.
+    # ("t") or normal ("n"), in adapted-frame components.  Flat space
+    # (c = 0) has no curvature: exact zeros, with no forms or slot vectors
+    # built and no pairings formed, here and in the normal part below.
     def _amb_r(self, slots, X, Y, Z, W) -> np.ndarray:
+        if self.d.c == 0.0:
+            return np.zeros(self.Q)
         part = {"t": slice(None, self.nu), "n": slice(self.nu, None)}
         V = np.zeros((4, self.Q, self.nu + self.p))
         for s, (kind, vec) in enumerate(zip(slots, (X, Y, Z, W))):
             V[s, :, part[kind]] = vec
-        return self._closed_form_r(V, self._forms)
+        return curvature_operator(self.d.c, *_pairings(V, self._forms))
 
     def _amb_r_normal_part(self, X, Y, Z) -> np.ndarray:
         """Normal components of the closed-form ambient R(X, Y)Z, indexed
@@ -161,10 +163,13 @@ class _Evaluator:
         # closed form pairs across slot kinds here, so it would read 0 by
         # construction whatever the frames.
         d = self.d
+        if d.c == 0.0:
+            return np.zeros((self.Q, self.p))
         V = np.empty((4, self.Q, self.p, d.N.shape[1]))
         V[:3] = (np.array([X, Y, Z]) @ d.T)[:, :, None]
         V[3] = d.N
-        return self._closed_form_r(V, self._chart_forms)
+        chart_forms = np.array([d.g_amb, d.J_amb.T @ d.g_amb])
+        return curvature_operator(d.c, *_pairings(V, chart_forms))
 
     # -- fundamental equations ------------------------------------------------
 
@@ -336,20 +341,13 @@ class _Evaluator:
 
     # -- route agreements and structural sanity ---------------------------------
 
-    def _two_path(self, route):
-        return np.array([[self.d.two_path[route]]]), np.zeros((1, 1))
-
-    def two_path_nabla_b(self):
-        return self._two_path("two_path_nabla_b")
-
-    def two_path_r_perp(self):
-        return self._two_path("two_path_r_perp")
-
-    def two_path_r(self):
-        return self._two_path("two_path_r")
-
-    def two_path_nabla_r(self):
-        return self._two_path("two_path_nabla_r")
+    def sides(self, identity_id):
+        """Both sides of the registry check ``identity_id``.  A route
+        agreement is the gate residual geometry recorded, one row against
+        zero."""
+        if identity_id in TWO_PATH_TOL:
+            return np.array([[self.d.two_path[identity_id]]]), np.zeros((1, 1))
+        return getattr(self, identity_id)()
 
     def nabla_a_self_adjoint(self):
         lhs = self._inner_tan(self.nA_xi_X, self.Y)
@@ -417,8 +415,7 @@ def run_identity_suite(data: ExtrinsicData, rng_seed: int,
     """
     rng = np.random.default_rng(rng_seed)
     ev = _Evaluator(data, _draw_tuples(rng, N_TUPLES, 2 * data.m, 2 * data.l))
-    worst = _worst_residuals(
-        [getattr(ev, chk.identity_id)() for chk in REGISTRY])
+    worst = _worst_residuals([ev.sides(chk.identity_id) for chk in REGISTRY])
     results = []
     for chk, res in zip(REGISTRY, worst.tolist()):
         tol = chk.tolerance

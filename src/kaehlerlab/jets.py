@@ -424,7 +424,8 @@ def stack(jets, axis: int = 0) -> Jet:
 
 
 def einsum(spec: str, *operands):
-    """``np.einsum`` over jets and float arrays, with an explicit ``->``.
+    """``np.einsum`` over two or more jets and float arrays, with an
+    explicit ``->``.
 
     Operands are folded left to right, keeping at each step the indices a
     later operand or the output still needs; ``...`` broadcasts as in numpy.
@@ -447,8 +448,6 @@ def einsum(spec: str, *operands):
     """
     subs, steps, k, p = _fold_plan(spec, len(operands))
     acc, acc_sub = operands[0], subs[0]
-    if len(operands) == 1:
-        return _contract(acc, acc_sub, None, None, steps[0], k, p)
     for operand, sub, keep in zip(operands[1:], subs[1:], steps):
         acc = _contract(acc, acc_sub, operand, sub, keep, k, p)
         acc_sub = keep
@@ -462,8 +461,9 @@ def _fold_plan(spec: str, count: int):
     coefficient and product-pair axes of its ``np.einsum`` steps."""
     ins, out = spec.replace(" ", "").replace("...", "*").split("->")
     subs = ins.split(",")
-    if len(subs) != count:
-        raise ValueError(f"{spec!r} needs {len(subs)} operands, got {count}")
+    if len(subs) != count or count < 2:
+        raise ValueError(f"einsum needs two or more operands, one per "
+                         f"subscript of {spec!r}; got {count}")
     steps = []
     for pos in range(1, count - 1):
         later = "".join(subs[pos + 1:]) + out
@@ -549,16 +549,12 @@ def _scatter_add(at: np.ndarray, values: np.ndarray, shape: tuple):
 
 
 def _contract(a, sa: str, b, sb, so: str, k: str, p: str):
-    """One step of ``einsum``: ``sa,sb->so``, or ``sa->so`` when ``b`` is
-    None; ``k`` and ``p`` name the coefficient and product-pair axes."""
+    """One step of ``einsum``: ``sa,sb->so``; ``k`` and ``p`` name the
+    coefficient and product-pair axes."""
 
     def np_einsum(spec, *ops):
         return np.einsum(spec.replace("*", "..."), *ops)
 
-    if b is None:
-        if isinstance(a, Jet):
-            return Jet._wrap(a.n, np_einsum(f"{sa}{k}->{so}{k}", a.c))
-        return np_einsum(f"{sa}->{so}", a)
     a_jet, b_jet = isinstance(a, Jet), isinstance(b, Jet)
     if a_jet and b_jet:
         if a.n != b.n:

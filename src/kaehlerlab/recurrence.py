@@ -104,8 +104,9 @@ def classify(data: ExtrinsicData) -> RecurrenceResult:
     )
 
 
-def verify_theorems(data: ExtrinsicData, result=None) -> dict:
-    """Verdicts on the structural conclusions at a recurrent point.
+def verify_theorems(data: ExtrinsicData, result: RecurrenceResult) -> dict:
+    """Verdicts on the structural conclusions at a recurrent point, from
+    ``result``, the point's ``classify``.
 
     For points whose second fundamental form is recurrent (the parallel case
     included) in a complex space form, the recurrence form must vanish, the
@@ -114,17 +115,12 @@ def verify_theorems(data: ExtrinsicData, result=None) -> dict:
     the normal curvature cannot vanish, which is checked through an explicit
     lower bound c / 8 on its norm.  Points whose hypothesis fails (totally
     geodesic or non-recurrent) are reported as not applicable; verdicts are
-    data, never exceptions.
+    data, never exceptions.  Returns ``applicable``, ``passed`` (None when
+    not applicable), ``failures`` and ``max_shape_determinant``; the
+    residuals and norms the verdicts read stay on ``result``.
     """
-    if result is None:
-        result = classify(data)
     verdict = {
         "applicable": result.classification in (PARALLEL, RECURRENT),
-        "classification": result.classification,
-        "theorem1_residual": result.theorem1_residual,
-        "theorem2_residual": result.theorem2_residual,
-        "mu_norm": result.mu_norm,
-        "r_perp_norm": result.norms["r_perp"],
         "max_shape_determinant": max_shape_operator_determinant(data),
         "failures": [],
     }

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,49 @@ class TestRun:
         assert set(agg["max_residual_per_check"].values()) == {None}
         row = cli.render_text({"cases": [report]}).splitlines()[-1]
         assert row.split() == [case.name, "flat", "0.00", "None", "None", "3"]
+
+    @pytest.mark.parametrize("gate, value, error, reason", [
+        ("FRAME_NORM_FLOOR", 1e6, sm.FrameConstructionError,
+         "only 0 of 2 normal directions found"),
+        ("J_INVARIANCE_TOL", -1.0, sm.DegeneratePointError,
+         "tangent space not J-invariant"),
+    ], ids=["frame_construction", "j_invariance"])
+    def test_frame_gate_failure_is_skipped(self, monkeypatch, gate, value,
+                                           error, reason):
+        # No catalog point fails the normal-frame or J-invariance gate; with
+        # the gate moved past every point, each point is a skipped entry
+        # with the gate's message, not an internal error.
+        monkeypatch.setattr(sm, gate, value)
+        case = sm.get_case("graph_z2_c2")
+        with pytest.raises(error, match=reason):
+            sm.extrinsic_data(case, [0.3, 0.2])
+        report, failed, mismatched = cli.run_case(
+            case, cli.RunConfig(points=2), 1)
+        assert not failed and not mismatched
+        for point in report["points"]:
+            assert reason in point["skipped"]
+            assert "checks" not in point and "internal_error" not in point
+        assert report["aggregates"]["skipped_points"] == 2
+
+    def test_class_mismatch_exits_two(self, tmp_path, monkeypatch):
+        # A catalog case that expects the wrong class exits 2, and a failing
+        # check in the same run takes precedence: exit 1.
+        wrong = replace(sm.get_case("veronese_cp2"), expected_class=sm.GENERIC)
+        monkeypatch.setattr(sm, "CATALOG", tuple(
+            wrong if c.name == wrong.name else c for c in sm.CATALOG))
+        out = tmp_path / "report.json"
+        argv = ["run", "--case", "veronese_cp2", "--points", "3",
+                "--out", str(out)]
+        assert run_cli(argv) == cli.EXIT_CLASS_MISMATCH
+        aggregates = json.loads(out.read_text())["cases"][0]["aggregates"]
+        assert aggregates["expected_class"] == "NonRecurrent"
+        assert aggregates["all_classifications_matched"] is False
+        worst = aggregates["max_residual_per_check"]["eq_2_14"]
+        assert worst > 0.0
+        code = run_cli(argv + ["--tol", f"eq_2_14={worst / 2}"])
+        assert code == cli.EXIT_CHECK_FAILURE
+        aggregates = json.loads(out.read_text())["cases"][0]["aggregates"]
+        assert aggregates["all_classifications_matched"] is False
 
     def test_text_format(self, capsys):
         code = run_cli([

@@ -34,6 +34,19 @@ class TestRegistry:
         ]:
             assert required in ids
 
+    def test_route_rows_are_the_gates(self):
+        # TWO_PATH_TOL is the one table of the route tolerances, and a route
+        # agreement reports the gate residual geometry recorded, one row
+        # against zero.
+        assert list(sm.TWO_PATH_TOL.values()) == [1e-9, 1e-8, 1e-8, 1e-8]
+        data = sm.extrinsic_data(sm.get_case("veronese_cp2"), [0.2, 0.6])
+        by_id = {r["id"]: r for r in idn.run_identity_suite(data, rng_seed=3)}
+        for route, tol in sm.TWO_PATH_TOL.items():
+            assert idn.REGISTRY_BY_ID[route].tolerance == tol
+            assert by_id[route]["tolerance"] == tol
+            gate = data.two_path[route]
+            assert by_id[route]["residual"] == gate / (1.0 + gate)
+
     def test_every_result_well_formed(self):
         results = suite_for("graph_z2_c2", [0.4, -0.1])
         assert len(results) == len(idn.REGISTRY)
@@ -155,11 +168,11 @@ class TestTupleBatch:
         alone = [idn._Evaluator(data, [v[q:q + 1] for v in batch])
                  for q in range(8)]
         for chk in idn.REGISTRY:
-            lhs, rhs = getattr(ev, chk.identity_id)()
+            lhs, rhs = ev.sides(chk.identity_id)
             rows = 1 if chk.identity_id in TUPLE_INDEPENDENT else 8
             assert lhs.shape[0] == rhs.shape[0] == rows, chk.identity_id
             for q in range(8):
-                lhs1, rhs1 = getattr(alone[q], chk.identity_id)()
+                lhs1, rhs1 = alone[q].sides(chk.identity_id)
                 assert lhs1.shape[0] == rhs1.shape[0] == 1, chk.identity_id
                 row = q % rows
                 for got, want in ((lhs[row], lhs1[0]), (rhs[row], rhs1[0])):
@@ -200,7 +213,7 @@ class TestOnePassResiduals:
         assert [r["id"] for r in results] == [c.identity_id
                                                for c in idn.REGISTRY]
         for r in results:
-            lhs, rhs = getattr(ev, r["id"])()
+            lhs, rhs = ev.sides(r["id"])
             # One row for a tuple-independent check, one per tuple otherwise.
             assert len(lhs) == (1 if r["id"] in TUPLE_INDEPENDENT else 8)
             # Its one row stands for every tuple: the per-tuple maximum.
@@ -268,34 +281,55 @@ class TestAmbientProjection:
         assert not by_id["eq_1_4_codazzi"]["passed"]
 
 
+class _Allocations:
+    """numpy, recording the shape of every array its ``zeros``, ``empty``
+    and ``array`` make."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("zeros", "empty", "array"):
+            return attr
+
+        def make(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.shapes.append(out.shape)
+            return out
+        return make
+
+
 class TestFlatClosedForm:
     @pytest.mark.parametrize("case, u", [
         (sm.get_case("graph_c3"), [0.3, -0.4]),
         (CUBIC_SURFACE, [0.4, -0.3, 0.2, 0.5]),
     ], ids=["graph_c3", "cubic_surface"])
     def test_zeros_of_the_closed_forms_shape(self, case, u, monkeypatch):
-        # At c = 0 the closed form returns exact zeros for the slot vectors
-        # of eq_1_3, eq_1_5 and the normal part, of the shape the full
-        # closed form gives on their pairings, which it makes all zeros.
+        # At c = 0 the closed form of eq_1_3, eq_1_5 and the normal part is
+        # exact zeros, of the shape the curved path gives on the same data,
+        # and no slot vector (a (4, Q, ...) array) is built for it.
         data = sm.extrinsic_data(case, u)
         assert data.c == 0.0
-        calls, closed_form_r = [], idn._Evaluator._closed_form_r
+        tuples = idn._draw_tuples(np.random.default_rng(7), idn.N_TUPLES,
+                                  2 * case.m, 2 * case.l)
+        slots = (4, idn.N_TUPLES)
 
-        def spy(self, V, forms):
-            out = closed_form_r(self, V, forms)
-            calls.append((V, forms, out))
-            return out
+        def closed_forms(data):
+            made = _Allocations()
+            monkeypatch.setattr(idn, "np", made)
+            ev = idn._Evaluator(data, tuples)
+            out = [ev.eq_1_3_gauss()[0], ev.eq_1_5_ricci()[0], ev.amb_r_normal]
+            monkeypatch.undo()
+            return out, [shape for shape in made.shapes if shape[:2] == slots]
 
-        monkeypatch.setattr(idn._Evaluator, "_closed_form_r", spy)
-        ev = idn._Evaluator(data, idn._draw_tuples(
-            np.random.default_rng(7), idn.N_TUPLES, 2 * case.m, 2 * case.l))
-        ev.eq_1_3_gauss()
-        ev.eq_1_5_ricci()
-        assert len(calls) == 3  # the normal part, eq_1_3, eq_1_5
-        for V, forms, out in calls:
-            full = amb.curvature_operator(0.0, *idn._pairings(V, forms))
-            assert out.shape == full.shape == V.shape[1:-1]
-            assert not out.any() and not full.any()
+        flat, flat_slots = closed_forms(data)
+        curved, curved_slots = closed_forms(replace(data, c=1.0))
+        assert flat_slots == []
+        assert len(curved_slots) == 3  # the detector sees the curved path's
+        for got, want in zip(flat, curved):
+            assert got.shape == want.shape
+            assert not got.any() and want.any()
 
     def test_no_pairings_on_flat_space(self, monkeypatch):
         # The suite on a flat point never reaches the closed form.

@@ -718,6 +718,15 @@ class TestOrderErrors:
         with pytest.raises(ValueError, match="order-1"):
             seed_variable(0, 0.5, 2).truncate(1).truncate(2)
 
+    @pytest.mark.parametrize("spec, count", [
+        ("ij->ji", 1), ("i->", 1), ("ij,jk->ik", 3)])
+    def test_einsum_operand_count(self, spec, count):
+        # einsum folds pairs: one operand, or a count that is not one per
+        # input subscript, is refused rather than returned as it is.
+        jet = seed_point([0.3, 0.5])
+        with pytest.raises(ValueError, match="two or more operands"):
+            einsum(spec, *[jet] * count)
+
 
 # -- the pair step of einsum against a naive polynomial product --------------
 

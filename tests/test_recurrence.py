@@ -1,5 +1,7 @@
 """Recurrence-form recovery, classification, and theorem verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -129,16 +131,18 @@ class TestClassifierMargins:
 
     # At t = 1e-4 and 1e-3 the points read Parallel, and verify_theorems
     # then fails them: a valid generic curve fails the run.
-    theorem_defect = pytest.mark.xfail(strict=True, reason=(
+    theorem_defect = (
         "defect: Parallel verdicts on a generic flat curve fail "
-        "verify_theorems with 'recurrence form is nonzero' (1.3e-07 at "
-        "t = 1e-4)"))
+        "verify_theorems with 'recurrence form is nonzero' on {} of 8 "
+        "points, up to {}")
 
     @pytest.mark.parametrize("t, expected", [
         (1e-10, rec.TOTALLY_GEODESIC), (1e-9, rec.PARALLEL),
         (1e-5, rec.PARALLEL),
-        pytest.param(1e-4, rec.PARALLEL, marks=theorem_defect),
-        pytest.param(1e-3, rec.PARALLEL, marks=theorem_defect),
+        pytest.param(1e-4, rec.PARALLEL, marks=pytest.mark.xfail(
+            strict=True, reason=theorem_defect.format(5, "1.3e-07"))),
+        pytest.param(1e-3, rec.PARALLEL, marks=pytest.mark.xfail(
+            strict=True, reason=theorem_defect.format(8, "1.3e-05"))),
         (1e-2, rec.NON_RECURRENT),
     ])
     def test_scaled_graph(self, t, expected):
@@ -149,25 +153,54 @@ class TestClassifierMargins:
         assert not failed
 
 
+def verdict_at(name, u):
+    data = data_at(name, u)
+    result = rec.classify(data)
+    return data, result, rec.verify_theorems(data, result)
+
+
 class TestVerifyTheorems:
     def test_veronese_passes(self):
-        data = data_at("veronese_cp2", [0.3, 0.6])
-        verdict = rec.verify_theorems(data)
+        _, result, verdict = verdict_at("veronese_cp2", [0.3, 0.6])
+        assert set(verdict) == {"applicable", "passed", "failures",
+                                "max_shape_determinant"}
         assert verdict["applicable"]
         assert verdict["passed"]
         assert verdict["failures"] == []
-        assert verdict["theorem1_residual"] <= 1e-7
-        assert verdict["theorem2_residual"] <= 1e-7
-        assert verdict["r_perp_norm"] >= 0.5
+        assert result.theorem1_residual <= 1e-7
+        assert result.theorem2_residual <= 1e-7
+        assert result.norms["r_perp"] >= 0.5
         assert verdict["max_shape_determinant"] > 1e-6
 
     def test_linear_not_applicable(self):
-        verdict = rec.verify_theorems(data_at("linear_c2", [0.1, 0.1]))
+        _, _, verdict = verdict_at("linear_c2", [0.1, 0.1])
         assert not verdict["applicable"]
         assert verdict["passed"] is None
 
     def test_non_recurrent_not_applicable(self):
-        verdict = rec.verify_theorems(data_at("graph_z3_c2", [1.0, 0.0]))
+        _, result, verdict = verdict_at("graph_z3_c2", [1.0, 0.0])
         assert not verdict["applicable"]
-        # Residuals are still reported for information.
-        assert verdict["theorem2_residual"] > 0.0
+        assert verdict["failures"] == []
+        # The residuals stay on the classification, for information.
+        assert result.theorem2_residual > 0.0
+
+    @pytest.mark.parametrize("norms, fields, message", [
+        ({"nabla_A": 1e-3}, {}, "shape operators not parallel: "),
+        ({}, {"theorem1_residual": 1e-3},
+         "normal curvature not parallel: 1.000e-03"),
+        ({}, {"theorem2_residual": 1e-3},
+         "intrinsic curvature not parallel: 1.000e-03"),
+        ({"r_perp": 0.25}, {},
+         "normal curvature norm 2.500e-01 below the bound 5.000e-01"),
+    ], ids=["shape_operators", "normal_curvature", "intrinsic_curvature",
+            "normal_curvature_bound"])
+    def test_each_failure_alone(self, norms, fields, message):
+        # Each conclusion fails on its own at a veronese_cp2 point whose
+        # classification carries one doctored value.
+        data, result, clean = verdict_at("veronese_cp2", [0.3, 0.6])
+        assert clean["passed"] is True
+        bad = replace(result, norms={**result.norms, **norms}, **fields)
+        verdict = rec.verify_theorems(data, bad)
+        assert verdict["applicable"] and verdict["passed"] is False
+        assert len(verdict["failures"]) == 1
+        assert verdict["failures"][0].startswith(message)
