@@ -18,9 +18,12 @@ def main():
           f"m = {case.m}  l = {case.l}\n")
     for u in ([0.0, 0.0], [0.4, -0.7], [0.9, 0.9]):
         data = submanifold.extrinsic_data(case, u)
-        norms = submanifold.tensor_norms(data)
-        result = recurrence.classify(data)
-        verdict = recurrence.verify_theorems(data, result)
+        # The norms, the classifier and the verdicts take a case's stack of
+        # points; one point is the stack of one.
+        norms = {key: value[0] for key, value in
+                 submanifold.tensor_norms([data]).items()}
+        result, = recurrence.classify([data])
+        verdict, = recurrence.verify_theorems([data], [result])
         print(f"point u = {np.asarray(u)}")
         print(f"  induced metric:\n{np.array2string(data.g, prefix='  ')}")
         print(f"  |b| = {norms['b']:.6f}   |nabla b| = {norms['nabla_b']:.2e}")

@@ -135,16 +135,24 @@ def _point_seed(seed: int, case_index: int, point_index: int) -> int:
 
 
 def run_case(case, config: RunConfig, case_index: int) -> dict:
+    """One case's report, whether a check failed, whether a class mismatched.
+
+    Two phases: the geometry and the identity suite run point by point, each
+    point with its own seed, and a point the geometry refuses becomes a
+    ``skipped`` entry (with ``internal_error`` for a route disagreement).
+    Then the classifier and the theorem verdicts run once, on the stack of
+    the evaluated points, and fill each of their entries."""
     points = sample_points(case, config.points, config.seed, case_index)
     expected = EXPECTED_CLASS[case.expected_class]
     point_reports = []
     agg_residual = {chk.identity_id: 0.0 for chk in identities.REGISTRY}
     any_check_failed = False
     any_mismatch = False
-    n_skipped = 0
     max_det = 0.0
+    entries, stack = [], []  # the evaluated points: report entries, data
     for pi, u in enumerate(points):
         entry = {"u": [float(x) for x in u]}
+        point_reports.append(entry)
         try:
             data = submanifold.extrinsic_data(case, u)
         except (submanifold.DegeneratePointError,
@@ -157,8 +165,6 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
                 entry["internal_error"] = {"route": exc.route,
                                            "two_path": exc.two_path}
                 any_check_failed = True
-            n_skipped += 1
-            point_reports.append(entry)
             continue
         checks = identities.run_identity_suite(
             data,
@@ -171,8 +177,15 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
             agg_residual[chk["id"]] = max(agg_residual[chk["id"]], chk["residual"])
             if not chk["passed"]:
                 any_check_failed = True
-        result = recurrence.classify(data)
-        verdict = recurrence.verify_theorems(data, result)
+        entries.append(entry)
+        stack.append(data)
+    evaluated = bool(stack)  # else nothing matched or measured
+    if evaluated:
+        results = recurrence.classify(stack)
+        verdicts = recurrence.verify_theorems(stack, results)
+    else:
+        results = verdicts = []
+    for entry, result, verdict in zip(entries, results, verdicts):
         max_det = max(max_det, verdict["max_shape_determinant"])
         if result.classification != expected:
             any_mismatch = True
@@ -195,8 +208,6 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
                 "failures": verdict["failures"],
             },
         }
-        point_reports.append(entry)
-    evaluated = n_skipped < len(points)  # else nothing matched or measured
     report = {
         "name": case.name,
         "ambient": {
@@ -213,7 +224,7 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
             "expected_class": expected,
             "all_classifications_matched":
                 not any_mismatch if evaluated else None,
-            "skipped_points": n_skipped,
+            "skipped_points": len(points) - len(stack),
             "max_shape_determinant": max_det if evaluated else None,
             "all_shape_operators_singular":
                 bool(max_det <= 1e-12) if evaluated else None,

@@ -371,15 +371,17 @@ class PointGeometry:
             candidates = np.asarray(normal_seed_mix, dtype=float)
             if candidates.shape != (d, d):
                 raise ValueError("candidate mix must be a (d, d) matrix")
-        normals = []
+        # Each accepted normal beside its lowered form, which the later
+        # candidates project with; lowered once, and only if one follows.
+        normals, lowered = [], []
         for row in candidates:
             if len(normals) == p:
                 break
             # Remove the tangential part (coordinate frame, so through g^ij).
             coef = einsum("jA,A,ij->i", self.T_low, row, self.g_inv_jet)
             v = row - einsum("i,iA->A", coef, self.T_jet)
-            for n in normals:
-                v = v - einsum("A,A->", lower(n), v) * n
+            for n, n_low in zip(normals, lowered):
+                v = v - einsum("A,A->", n_low, v) * n
             norm2 = einsum("A,A->", lower(v), v)
             if norm2.value < FRAME_NORM_FLOOR ** 2:
                 continue
@@ -387,6 +389,8 @@ class PointGeometry:
             normals.append(n0)
             if len(normals) < p:
                 normals.append(einsum("AB,B->A", self.J_amb, n0))
+            if len(normals) < p:
+                lowered += [lower(n) for n in normals[len(lowered):]]
         if len(normals) != p:
             raise FrameConstructionError(
                 f"{self.case.name}: only {len(normals)} of {p} normal "
@@ -594,35 +598,51 @@ def extrinsic_data(case: ImmersionCase, u, normal_seed_mix=None) -> ExtrinsicDat
 # -- frame-independent norms ------------------------------------------------
 
 
+def stack_field(points, name: str) -> np.ndarray:
+    """Field ``name`` of every point of ``points`` (``ExtrinsicData`` of one
+    case), on a new leading point axis."""
+    return np.stack([getattr(data, name) for data in points])
+
+
 def _orthonormalize_axes(arr: np.ndarray, axes, Q: np.ndarray) -> np.ndarray:
-    """``arr`` with Q applied to each of ``axes``: one matmul per axis, on
-    a view that swaps the axis to the end and back."""
+    """``arr``, indexed by point first, with that point's ``Q`` applied to
+    each of ``axes``: one matmul per axis, broadcast over the points, on a
+    view that swaps the axis to the end and back."""
+    Q = Q.reshape(Q.shape[:1] + (1,) * (arr.ndim - 3) + Q.shape[1:])
     for ax in axes:
         arr = (arr.swapaxes(ax, -1) @ Q).swapaxes(ax, -1)
     return arr
 
 
-def tensor_norms(data: ExtrinsicData) -> dict:
+def tensor_norms(points) -> dict:
     """Frobenius norms in orthonormal frames; invariant under frame remixes.
 
-    The normal frame is already orthonormal; tangent coordinate indices are
-    converted through the inverse Cholesky factor of the induced metric.
+    ``points`` are the ``ExtrinsicData`` of one case; each norm is an array
+    over them, in order (a single point is the stack of one).
+    ``recurrence.classify`` calls it once per case, on the points that
+    ``cli.run_case`` has evaluated one by one.  The normal frame is already
+    orthonormal; tangent coordinate indices are converted through the
+    inverse Cholesky factor of the induced metric, one batched
+    factorisation and inverse for every point.
     """
-    Q = np.linalg.inv(np.linalg.cholesky(data.g)).T
+    g = stack_field(points, "g")
+    Q = np.linalg.inv(np.linalg.cholesky(g)).swapaxes(1, 2)
     # Lower the contravariant index of the shape-operator derivative first.
-    nA_low = np.einsum("iakj,kl->ialj", data.nabla_A, data.g)
+    nA_low = np.einsum("piakj,pkl->pialj", stack_field(points, "nabla_A"), g)
 
     def frob(arr, axes):
-        return float(np.sqrt((_orthonormalize_axes(arr, axes, Q) ** 2).sum()))
+        y = _orthonormalize_axes(arr, axes, Q) ** 2
+        return np.sqrt(y.sum(axis=tuple(range(1, y.ndim))))
 
+    # Axes counted on the stack: axis 0 runs over the points.
     return {
-        "b": frob(data.b, (1, 2)),
-        "nabla_b": frob(data.nabla_b, (0, 2, 3)),
-        "nabla_A": frob(nA_low, (0, 2, 3)),
-        "r_perp": frob(data.r_perp, (0, 1)),
-        "nabla_r_perp": frob(data.nabla_r_perp, (0, 1, 2)),
-        "r": frob(data.r, (0, 1, 2, 3)),
-        "nabla_r": frob(data.nabla_r, (0, 1, 2, 3, 4)),
+        "b": frob(stack_field(points, "b"), (2, 3)),
+        "nabla_b": frob(stack_field(points, "nabla_b"), (1, 3, 4)),
+        "nabla_A": frob(nA_low, (1, 3, 4)),
+        "r_perp": frob(stack_field(points, "r_perp"), (1, 2)),
+        "nabla_r_perp": frob(stack_field(points, "nabla_r_perp"), (1, 2, 3)),
+        "r": frob(stack_field(points, "r"), (1, 2, 3, 4)),
+        "nabla_r": frob(stack_field(points, "nabla_r"), (1, 2, 3, 4, 5)),
     }
 
 
@@ -633,7 +653,8 @@ def sectional_curvature(data: ExtrinsicData, i: int = 0, j: int = 1) -> float:
     return float(data.r[i, j, j, i] / den)
 
 
-def max_shape_operator_determinant(data: ExtrinsicData) -> float:
-    """Largest |det A| over the normal frame; nonzero means a nondegenerate
-    normal direction exists at this point."""
-    return float(np.abs(np.linalg.det(data.A)).max())
+def max_shape_operator_determinant(points) -> np.ndarray:
+    """Largest |det A| over the normal frame at each of ``points``, one
+    batched ``det``; nonzero means a nondegenerate normal direction exists
+    at that point."""
+    return np.abs(np.linalg.det(stack_field(points, "A"))).max(axis=1)

@@ -16,7 +16,10 @@ quantity the package computes in closed form or by jet arithmetic:
 - ``jet_sqrt``: the square-root series, whose reciprocal is the reference
   for ``Jet.rsqrt``;
 - ``map_values``: a case's chart on Python complex numbers, against
-  ``ImmersionCase.map_jets``.
+  ``ImmersionCase.map_jets``;
+- ``tensor_norms``, ``solve_mu`` and ``max_shape_operator_determinant``:
+  the classifier's inputs at one point, one factorisation, fit and
+  determinant per call, against the package's runs over a stack of points.
 
 ``closed_form_christoffel`` is no reference: it reads the package's
 closed-form connection on the chart basis, in the layout of ``christoffel``.
@@ -183,3 +186,63 @@ def closed_form_christoffel(model: AmbientModel, x) -> np.ndarray:
     if connection is None:
         return np.zeros((d, d, d))
     return jet_values(connection(np.eye(d), d)).transpose(2, 0, 1)
+
+
+def _orthonormalize_axes(arr: np.ndarray, axes, Q: np.ndarray) -> np.ndarray:
+    """``arr`` with Q applied to each of ``axes``: one matmul per axis, on
+    a view that swaps the axis to the end and back."""
+    for ax in axes:
+        arr = (arr.swapaxes(ax, -1) @ Q).swapaxes(ax, -1)
+    return arr
+
+
+def tensor_norms(data) -> dict:
+    """Frobenius norms in orthonormal frames at one point.
+
+    The normal frame is already orthonormal; tangent coordinate indices are
+    converted through the inverse Cholesky factor of the induced metric.
+    """
+    Q = np.linalg.inv(np.linalg.cholesky(data.g)).T
+    # Lower the contravariant index of the shape-operator derivative first.
+    nA_low = np.einsum("iakj,kl->ialj", data.nabla_A, data.g)
+
+    def frob(arr, axes):
+        return float(np.sqrt((_orthonormalize_axes(arr, axes, Q) ** 2).sum()))
+
+    return {
+        "b": frob(data.b, (1, 2)),
+        "nabla_b": frob(data.nabla_b, (0, 2, 3)),
+        "nabla_A": frob(nA_low, (0, 2, 3)),
+        "r_perp": frob(data.r_perp, (0, 1)),
+        "nabla_r_perp": frob(data.nabla_r_perp, (0, 1, 2)),
+        "r": frob(data.r, (0, 1, 2, 3)),
+        "nabla_r": frob(data.nabla_r, (0, 1, 2, 3, 4)),
+    }
+
+
+def solve_mu(nabla_b: np.ndarray, b: np.ndarray):
+    """Best 1-form mu with nabla_b ~ mu (x) b at one point, and the relative
+    fit residual.
+
+    Per direction i the minimizer of |nabla_b[i] - mu_i b| is the
+    inner-product quotient <nabla_b[i], b> / <b, b> over plain components.
+    The residual is |nabla_b - mu (x) b| / |nabla_b|, with 0/0 read as 0.
+    """
+    nabla_b = np.asarray(nabla_b, float)
+    b = np.asarray(b, float)
+    bb = float((b * b).sum())
+    n_dirs = nabla_b.shape[0]
+    if bb == 0.0:
+        mu = np.zeros(n_dirs)
+    else:
+        mu = (nabla_b * b).reshape(n_dirs, -1).sum(axis=1) / bb
+    resid = nabla_b - mu.reshape((-1,) + (1,) * b.ndim) * b
+    num = float(np.sqrt((resid ** 2).sum()))
+    den = float(np.sqrt((nabla_b ** 2).sum()))
+    fit = 0.0 if den == 0.0 else num / den
+    return mu, fit
+
+
+def max_shape_operator_determinant(data) -> float:
+    """Largest |det A| over the normal frame at one point."""
+    return float(np.abs(np.linalg.det(data.A)).max())

@@ -138,18 +138,19 @@ def test_4_two_path_agreement():
 def test_5_theorem_reproduction():
     ok = True
     rng = np.random.default_rng(1005)
-    for _ in range(5):
-        data = sm.extrinsic_data(sm.get_case("veronese_cp2"),
-                                 rng.uniform(-1, 1, 2))
-        result = rec.classify(data)
+    stack = [sm.extrinsic_data(sm.get_case("veronese_cp2"),
+                               rng.uniform(-1, 1, 2)) for _ in range(5)]
+    results = rec.classify(stack)
+    verdicts = rec.verify_theorems(stack, results)
+    for data, result, verdict in zip(stack, results, verdicts):
         ok &= result.classification == rec.PARALLEL
         ok &= result.mu_norm <= 1e-7
         ok &= result.theorem1_residual <= 1e-7
         ok &= result.theorem2_residual <= 1e-7
         ok &= result.norms["r_perp"] >= 0.5
         ok &= abs(sm.sectional_curvature(data) - 2.0) <= 1e-8
-        verdict = rec.verify_theorems(data, result)
         ok &= verdict["passed"] is True
+    ok &= len(verdicts) == 5
     report("5 theorem reproduction: constant-curvature quadric is parallel "
            "with parallel curvatures and sectional curvature 2", ok)
 
@@ -157,10 +158,11 @@ def test_5_theorem_reproduction():
 def test_6_mu_recovery():
     b = sm.extrinsic_data(sm.get_case("graph_z2_c2"), [0.0, 0.0]).b
     mu_true = np.array([0.3, -1.2])
-    mu, fit = rec.solve_mu(np.einsum("i,ajk->iajk", mu_true, b), b)
-    ok = np.abs(mu - mu_true).max() <= 1e-10 and fit <= 1e-12
-    result = rec.classify(
-        sm.extrinsic_data(sm.get_case("graph_z3_c2"), [1.0, 0.0])
+    mu, fit = rec.solve_mu(np.einsum("i,ajk->iajk", mu_true, b)[None],
+                           b[None])
+    ok = np.abs(mu[0] - mu_true).max() <= 1e-10 and fit[0] <= 1e-12
+    result, = rec.classify(
+        [sm.extrinsic_data(sm.get_case("graph_z3_c2"), [1.0, 0.0])]
     )
     ok &= result.classification == rec.NON_RECURRENT
     ok &= result.fit_residual > 0.1

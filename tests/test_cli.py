@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from extra_cases import SEGRE
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import cli
 from kaehlerlab import identities as idn
+from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
 from kaehlerlab.jets import DIVISION_FLOOR, jet_partials, jet_values
 
@@ -266,6 +268,57 @@ class TestRun:
             assert "checks" not in point and "internal_error" not in point
         assert report["aggregates"]["skipped_points"] == 2
 
+    @pytest.mark.parametrize("case", list(sm.CATALOG) + [SEGRE],
+                             ids=lambda c: c.name)
+    def test_degenerate_middle_point_is_skipped_alone(self, monkeypatch,
+                                                      case):
+        # The classifier runs on the stack of evaluated points: without the
+        # middle one, every other entry is the full run's, value for value.
+        config = cli.RunConfig(points=5)
+        index = len(sm.CATALOG)
+        full, failed, mismatched = cli.run_case(case, config, index)
+        middle = full["points"][2]["u"]
+        evaluate = sm.extrinsic_data
+
+        def forced(case, u, *args, **kwargs):
+            if [float(x) for x in u] == middle:
+                raise sm.DegeneratePointError("forced at the middle point")
+            return evaluate(case, u, *args, **kwargs)
+
+        monkeypatch.setattr(sm, "extrinsic_data", forced)
+        report, *flags = cli.run_case(case, config, index)
+        assert flags == [failed, mismatched]
+        assert report["points"][2] == {"u": middle,
+                                       "skipped": "forced at the middle point"}
+        for k in (0, 1, 3, 4):
+            assert report["points"][k] == full["points"][k], k
+        assert report["aggregates"]["skipped_points"] == 1
+
+    def test_every_point_skipped_runs_no_classifier(self, monkeypatch):
+        def refuse(case, u, *args, **kwargs):
+            raise sm.DegeneratePointError("forced")
+
+        def called(*args):
+            raise AssertionError("the classifier ran on an empty stack")
+
+        monkeypatch.setattr(sm, "extrinsic_data", refuse)
+        monkeypatch.setattr(rec, "classify", called)
+        monkeypatch.setattr(rec, "verify_theorems", called)
+        report, failed, mismatched = cli.run_case(
+            sm.get_case("veronese_cp2"), cli.RunConfig(points=3), 4)
+        assert not failed and not mismatched
+        for point in report["points"]:
+            assert point == {"u": point["u"], "skipped": "forced"}
+        assert report["aggregates"] == {
+            "max_residual_per_check": dict.fromkeys(idn.REGISTRY_BY_ID),
+            "max_residual": None,
+            "expected_class": rec.PARALLEL,
+            "all_classifications_matched": None,
+            "skipped_points": 3,
+            "max_shape_determinant": None,
+            "all_shape_operators_singular": None,
+        }
+
     def test_class_mismatch_exits_two(self, tmp_path, monkeypatch):
         # A catalog case that expects the wrong class exits 2, and a failing
         # check in the same run takes precedence: exit 1.
@@ -422,9 +475,42 @@ class TestSampler:
                 want = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
                 assert np.array_equal(cli.scrambled_halton(dim, n, seed), want)
 
-    def test_cli_does_not_import_scipy(self):
+
+#: The top-level modules that ``import kaehlerlab.cli`` loads beyond those
+#: of ``import numpy`` (on Python 3.11, which CI runs): every one adds to a
+#: run's set-up time, so a new one should be a decision.
+IMPORT_ALLOWED = frozenset({
+    "__future__", "_json", "_string", "argparse", "copy", "dataclasses",
+    "gettext", "json", "kaehlerlab", "string",
+})
+#: Never loaded by the package: the tests' references and tools, and scipy.
+IMPORT_REFUSED = frozenset({"scipy", "oracles", "pytest", "hypothesis"})
+
+_IMPORTS = """
+import sys
+def loaded():
+    return sorted({name.split(".")[0] for name in sys.modules})
+sets = {"start": loaded()}
+import numpy
+sets["numpy"] = loaded()
+import kaehlerlab.cli
+sets["cli"] = loaded()
+import json
+print(json.dumps(sets))
+"""
+
+
+class TestImports:
+    def test_imports_only_the_allowed_modules(self):
+        # In a fresh interpreter: what the package's import adds to numpy's
+        # is on IMPORT_ALLOWED, and nothing loaded is on IMPORT_REFUSED.
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = ("import sys, kaehlerlab.cli; "
-                "assert 'scipy' not in sys.modules")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
+        proc = subprocess.run([sys.executable, "-c", _IMPORTS], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        sets = {key: set(names) for key, names in
+                json.loads(proc.stdout).items()}
+        assert "numpy" not in sets["start"] and "kaehlerlab" in sets["cli"]
+        added = sets["cli"] - sets["numpy"]
+        assert added <= IMPORT_ALLOWED, sorted(added - IMPORT_ALLOWED)
+        assert not sets["cli"] & IMPORT_REFUSED, sets["cli"] & IMPORT_REFUSED

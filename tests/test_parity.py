@@ -17,13 +17,13 @@ def test_checkout_against_itself():
     rows = {line.split()[0]: line.split()[1:]
             for line in proc.stdout.splitlines()[1:-1]}
     assert proc.stdout.splitlines()[-1].startswith("parity holds")
-    # The default run's checks and the three cases outside the catalog.
+    # The default run's checks and the four cases outside the catalog.
     assert rows["report.cases[].points[].checks[].residual"][:3] == [
         "270", "0", "0.000e+00"]
-    assert rows["extra[].report.points[].checks[].residual"][0] == "162"
+    assert rows["extra[].report.points[].checks[].residual"][0] == "216"
     assert rows["exit_code"] == ["1", "0", "-"]
-    # Every ExtrinsicData array of the 16 points: 5 + 3 cases x 2.
+    # Every ExtrinsicData array of the 18 points: 5 + 4 cases x 2.
     for name in ("b", "nabla_b", "nabla_r", "r_perp", "gamma_perp"):
-        assert rows[f"extrinsic.{name}"] == ["16", "0", "0.000e+00"]
+        assert rows[f"extrinsic.{name}"] == ["18", "0", "0.000e+00"]
     for row in rows.values():
         assert row[1] == "0" and row[2] in ("-", "0.000e+00"), row

@@ -3,7 +3,9 @@
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
+from extra_cases import CUBIC_SURFACE, CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
 
 from kaehlerlab import ambient as amb
 from kaehlerlab import cli
@@ -15,13 +17,19 @@ def data_at(name, u):
     return sm.extrinsic_data(sm.get_case(name), u)
 
 
+def classify_at(name, u):
+    """The classification of one point: the classifier on a stack of one."""
+    result, = rec.classify([data_at(name, u)])
+    return result
+
+
 class TestSolveMu:
     def test_parallel_input(self):
-        b = np.ones((2, 2, 2))
-        nb = np.zeros((2, 2, 2, 2))
+        b = np.ones((1, 2, 2, 2))
+        nb = np.zeros((1, 2, 2, 2, 2))
         mu, fit = rec.solve_mu(nb, b)
-        assert np.allclose(mu, 0.0)
-        assert fit == 0.0
+        assert mu.shape == (1, 2) and np.allclose(mu, 0.0)
+        assert fit.tolist() == [0.0]
 
     def test_synthetic_recovery(self):
         # Fabricated recurrent data: nabla_i b := mu_i b must be recovered
@@ -29,20 +37,35 @@ class TestSolveMu:
         b = data_at("graph_z2_c2", [0.0, 0.0]).b
         mu_true = np.array([0.3, -1.2])
         nb = np.einsum("i,ajk->iajk", mu_true, b)
-        mu, fit = rec.solve_mu(nb, b)
-        assert np.abs(mu - mu_true).max() <= 1e-10
-        assert fit <= 1e-12
+        mu, fit = rec.solve_mu(nb[None], b[None])
+        assert np.abs(mu[0] - mu_true).max() <= 1e-10
+        assert fit[0] <= 1e-12
 
     def test_scaling_invariance_exact(self):
         rng = np.random.default_rng(3)
-        b = rng.normal(size=(2, 2, 2))
-        nb = rng.normal(size=(2, 2, 2, 2))
+        b = rng.normal(size=(1, 2, 2, 2))
+        nb = rng.normal(size=(1, 2, 2, 2, 2))
         mu1, fit1 = rec.solve_mu(nb, b)
         # A power-of-two scale keeps the float cancellation exact.
         lam = -4.0
         mu2, fit2 = rec.solve_mu(lam * nb, lam * b)
         assert np.array_equal(mu1, mu2)
-        assert fit1 == fit2
+        assert np.array_equal(fit1, fit2)
+
+    def test_rows_are_independent(self):
+        # A stack with a zero b, a recurrent point and a generic one: each
+        # row is fitted on its own, and 0/0 reads as 0.
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(3, 2, 2, 2))
+        b[0] = 0.0
+        nb = rng.normal(size=(3, 2, 2, 2, 2))
+        nb[1] = np.einsum("i,ajk->iajk", [0.5, -2.0], b[1])
+        mu, fit = rec.solve_mu(nb, b)
+        assert np.array_equal(mu[0], [0.0, 0.0])
+        assert fit[0] == 1.0
+        assert np.abs(mu[1] - [0.5, -2.0]).max() <= 1e-12
+        assert fit[1] <= 1e-12
+        assert fit[2] > 0.1
 
     def test_grid_scan_confirms_misfit(self):
         # Independent confirmation for the non-recurrent graph case: no
@@ -62,16 +85,16 @@ class TestSolveMu:
 
 class TestClassify:
     def test_linear_totally_geodesic(self):
-        result = rec.classify(data_at("linear_c2", [0.4, 0.8]))
+        result = classify_at("linear_c2", [0.4, 0.8])
         assert result.classification == rec.TOTALLY_GEODESIC
 
     def test_veronese_parallel(self):
-        result = rec.classify(data_at("veronese_cp2", [0.5, -0.3]))
+        result = classify_at("veronese_cp2", [0.5, -0.3])
         assert result.classification == rec.PARALLEL
         assert result.mu_norm <= 1e-7
 
     def test_graph_z3_non_recurrent(self):
-        result = rec.classify(data_at("graph_z3_c2", [1.0, 0.0]))
+        result = classify_at("graph_z3_c2", [1.0, 0.0])
         assert result.classification == rec.NON_RECURRENT
         assert result.fit_residual > 0.1
 
@@ -81,7 +104,7 @@ class TestClassify:
     def test_no_fit_residual_where_nabla_b_vanishes(self, name, u):
         # |nabla b| is round-off at these points, so the relative fit would
         # be noise; mu is still reported, and read by verify_theorems.
-        result = rec.classify(data_at(name, u))
+        result = classify_at(name, u)
         assert result.fit_residual is None
         assert result.mu.shape == (2,)
         assert result.mu_norm <= 1e-7
@@ -89,9 +112,10 @@ class TestClassify:
     def test_graph_cases_non_recurrent(self):
         rng = np.random.default_rng(7)
         for name in ["graph_z2_c2", "graph_z3_c2", "graph_c3"]:
-            for _ in range(3):
-                result = rec.classify(data_at(name, rng.uniform(-1, 1, 2)))
-                assert result.classification == rec.NON_RECURRENT, name
+            results = rec.classify([data_at(name, rng.uniform(-1, 1, 2))
+                                    for _ in range(3)])
+            assert [r.classification for r in results] == [
+                rec.NON_RECURRENT] * 3, name
 
 
 def _run_margin_case(name, model, chart, expected_class):
@@ -155,8 +179,9 @@ class TestClassifierMargins:
 
 def verdict_at(name, u):
     data = data_at(name, u)
-    result = rec.classify(data)
-    return data, result, rec.verify_theorems(data, result)
+    result, = rec.classify([data])
+    verdict, = rec.verify_theorems([data], [result])
+    return data, result, verdict
 
 
 class TestVerifyTheorems:
@@ -200,7 +225,67 @@ class TestVerifyTheorems:
         data, result, clean = verdict_at("veronese_cp2", [0.3, 0.6])
         assert clean["passed"] is True
         bad = replace(result, norms={**result.norms, **norms}, **fields)
-        verdict = rec.verify_theorems(data, bad)
+        verdict, = rec.verify_theorems([data], [bad])
         assert verdict["applicable"] and verdict["passed"] is False
         assert len(verdict["failures"]) == 1
         assert verdict["failures"][0].startswith(message)
+
+
+#: (z, 1e-3 z^2) in C^2: Parallel points whose verdicts fail (see
+#: TestClassifierMargins), so that failure messages are compared too.
+SCALED_GRAPH = sm.ImmersionCase(
+    "scaled_graph_z2_c2", 1, amb.flat(2), lambda z: [z[0], z[0] * z[0] * 1e-3],
+    ((-1.0, 1.0),) * 2, sm.GENERIC)
+
+
+def _stack_cases():
+    """(case, points): every sampled point of every catalog case, and a few
+    of each case outside it."""
+    out = [(case, cli.sample_points(case, cli.DEFAULT_POINTS, cli.DEFAULT_SEED,
+                                    index))
+           for index, case in enumerate(sm.CATALOG)]
+    for case in (SEGRE, CUBIC_SURFACE, QUADRIC_Q3, CUBIC_THREEFOLD,
+                 SCALED_GRAPH):
+        out.append((case, cli.sample_points(case, 4, cli.DEFAULT_SEED,
+                                            len(sm.CATALOG))))
+    return [pytest.param(case, points, id=case.name) for case, points in out]
+
+
+def _close(got, want, rel):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0))
+    return np.abs(got - want).max(initial=0.0) <= rel * scale
+
+
+class TestStack:
+    """The classifier over a case's stack of points against the per-point
+    references in ``oracles``, and against each point classified alone."""
+
+    @pytest.mark.parametrize("case, points", _stack_cases())
+    def test_matches_per_point_references(self, case, points):
+        stack = [sm.extrinsic_data(case, u) for u in points]
+        norms = sm.tensor_norms(stack)
+        mu, fit = rec.solve_mu(sm.stack_field(stack, "nabla_b"),
+                               sm.stack_field(stack, "b"))
+        dets = sm.max_shape_operator_determinant(stack)
+        results = rec.classify(stack)
+        verdicts = rec.verify_theorems(stack, results)
+        assert len(results) == len(verdicts) == len(stack)
+        for k, data in enumerate(stack):
+            want = oracles.tensor_norms(data)
+            assert set(norms) == set(want)
+            for key, value in want.items():
+                assert _close(norms[key][k], value, 1e-14), (key, k)
+            mu_k, fit_k = oracles.solve_mu(data.nabla_b, data.b)
+            assert _close(mu[k], mu_k, 1e-14) and _close(fit[k], fit_k, 1e-14)
+            assert _close(dets[k], oracles.max_shape_operator_determinant(data),
+                          1e-14)
+            assert results[k].classification == rec._label(
+                want["b"], want["nabla_b"], fit_k)
+            # The stack of one is the same code: every value is the same.
+            alone, = rec.classify([data])
+            assert np.array_equal(results[k].mu, alone.mu)
+            assert replace(results[k], mu=None) == replace(alone, mu=None)
+            assert verdicts[k] == rec.verify_theorems([data], [alone])[0]
+        if case is SCALED_GRAPH:
+            assert all(v["failures"] for v in verdicts)

@@ -255,7 +255,7 @@ def _assert_healthy(d, expected_class):
         assert chk["passed"], chk
     for key, val in d.two_path.items():
         assert val <= sm.TWO_PATH_TOL[key], (key, val)
-    assert rec.classify(d).classification == expected_class
+    assert rec.classify([d])[0].classification == expected_class
 
 
 def _vector_curvature(c, g, J, X, Y, Z):
@@ -423,12 +423,9 @@ class TestFrameCovariance:
             dim = case.ambient.real_dim
             mix, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
             d2 = sm.extrinsic_data(case, u, normal_seed_mix=mix)
-            n1 = sm.tensor_norms(d1)
-            n2 = sm.tensor_norms(d2)
-            for key in n1:
-                assert n1[key] == pytest.approx(n2[key], abs=1e-9), (
-                    case.name, key
-                )
+            norms = sm.tensor_norms([d1, d2])
+            for key, (n1, n2) in norms.items():
+                assert n1 == pytest.approx(n2, abs=1e-9), (case.name, key)
             # Frame-resolved components may differ; scalar residuals may not.
             for key in d1.two_path:
                 assert abs(d1.two_path[key] - d2.two_path[key]) <= 1e-9
@@ -459,15 +456,16 @@ class TestTensorNorms:
                                       QUADRIC_Q3], ids=lambda c: c.name)
     def test_matches_metric_contraction(self, case):
         rng = np.random.default_rng(43)
-        for _ in range(3):
-            d = sm.extrinsic_data(case, rng.uniform(-0.6, 0.6, 2 * case.m))
-            norms = sm.tensor_norms(d)
-            assert set(norms) == set(self.SLOTS)
+        stack = [sm.extrinsic_data(case, rng.uniform(-0.6, 0.6, 2 * case.m))
+                 for _ in range(3)]
+        norms = sm.tensor_norms(stack)
+        assert set(norms) == set(self.SLOTS)
+        for k, d in enumerate(stack):
             for key, slots in self.SLOTS.items():
                 want = np.sqrt(_norm_squared(getattr(d, key), slots, d.g,
                                              d.g_inv))
-                assert norms[key] == pytest.approx(want, rel=1e-12, abs=0), (
-                    case.name, key)
+                assert norms[key][k] == pytest.approx(want, rel=1e-12,
+                                                      abs=0), (case.name, key)
 
 
 def _textbook_covariant_derivative(T, dT, gamma, gamma_perp, slots):
@@ -555,7 +553,7 @@ class TestCurvature:
 
     def test_veronese_normal_curvature_nonzero(self):
         d = data_at("veronese_cp2", [0.2, -0.5])
-        assert sm.tensor_norms(d)["r_perp"] >= 0.5
+        assert sm.tensor_norms([d])["r_perp"][0] >= 0.5
 
     def test_veronese_locally_symmetric(self):
         rng = np.random.default_rng(29)
@@ -585,7 +583,7 @@ class TestCurvature:
 
     def test_flat_graph_curvature_nontrivial(self):
         d = data_at("graph_z2_c2", [0.5, 0.3])
-        assert sm.tensor_norms(d)["r"] > 1e-3
+        assert sm.tensor_norms([d])["r"][0] > 1e-3
 
 
 class TestShapeOperators:
@@ -603,4 +601,4 @@ class TestShapeOperators:
 
     def test_nondegenerate_direction_exists(self):
         d = data_at("graph_z2_c2", [0.2, 0.1])
-        assert sm.max_shape_operator_determinant(d) > 1e-3
+        assert sm.max_shape_operator_determinant([d])[0] > 1e-3

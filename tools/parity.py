@@ -9,7 +9,8 @@ Each checkout's ``src/`` runs in its own subprocess (this file with
   code;
 - the cases outside the catalog (``extra_cases``) through ``cli.run_case``:
   the Segre quadric CP1 x CP1 in CP3 (m = 2) of ``perfbench/workloads.py``,
-  the quadric Q3 in CP4 and a flat cubic threefold in C4 (m = 3);
+  the quadric Q3 in CP4, a flat cubic threefold in C4 and the Veronese
+  CP3 in CP9 (m = 3; the last with l = 6);
 - the ``ExtrinsicData`` of every point those runs sample.
 
 The two outputs are then paired leaf by leaf.  Each line of the table is one
@@ -47,7 +48,9 @@ def extra_cases():
     """The cases outside the catalog, as ``ImmersionCase`` objects: the
     benchmark's Segre quadric, and the m = 3 cases, which the tests also run
     (they load this file by path).  The quadric Q3 in CP4 is a parallel
-    Kaehler hypersurface (cf. Nakagawa and Takagi 1976)."""
+    Kaehler hypersurface (cf. Nakagawa and Takagi 1976), and the Veronese
+    embedding of CP3 in CP9 a parallel one of codimension 6, the only case
+    with l > 2."""
     from kaehlerlab import ambient, submanifold as sm
 
     spec = importlib.util.spec_from_file_location(
@@ -62,12 +65,19 @@ def extra_cases():
     def cubic_threefold(z):
         return [z[0], z[1], z[2], z[0] * z[1] * z[2] + z[2] * z[2] * 0.5]
 
+    def veronese_cp3(z):
+        r = np.sqrt(2.0)
+        return [r * z[0], r * z[1], r * z[2], z[0] * z[0], r * z[0] * z[1],
+                r * z[0] * z[2], z[1] * z[1], r * z[1] * z[2], z[2] * z[2]]
+
     return [
         workloads.SEGRE,
         sm.ImmersionCase("quadric_q3", 3, ambient.fubini_study(4.0, 4),
                          quadric_q3, ((-0.5, 0.5),) * 6, sm.PARALLEL),
         sm.ImmersionCase("cubic_threefold_c4", 3, ambient.flat(4),
                          cubic_threefold, ((-1.0, 1.0),) * 6, sm.GENERIC),
+        sm.ImmersionCase("veronese_cp3", 3, ambient.fubini_study(4.0, 9),
+                         veronese_cp3, ((-0.5, 0.5),) * 6, sm.PARALLEL),
     ]
 
 
