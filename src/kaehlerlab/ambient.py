@@ -10,12 +10,12 @@ Everything is written in closed form on the pairings <.,.> and <J.,.> of
 real chart vectors.  With x the chart point, rho = 1 + |x|^2, k = 4/c and
 W = (x, Jx)/rho, the Fubini-Study metric is k/rho I minus the rank-two term
 k W^T W, and its Levi-Civita connection (the same for every ``c``) pairs
-the vectors with W.  ``metric`` forms W and 1/rho once per chart point and
-returns the metric jet and the connection on jet rows, both from those
-values (``Metric``); the Christoffel symbols are that connection on the
-chart basis.  The curvature of a complex space form
-(``curvature_operator``) is a quadratic form in the pairings of its four
-slots.  Metric components are produced as jets of the chart point, so
+the vectors with W.  ``metric`` forms W and 1/rho once for a stack of
+chart points and returns the metric jet and the connection on jet rows,
+both from those values (``Metric``); the Christoffel symbols are that
+connection on the chart basis, every point's in one call.  The curvature
+of a complex space form (``curvature_operator``) is a quadratic form in
+the pairings of its four slots.  Metric components are produced as jets of the chart point, so
 differentiating them (``christoffel_from_metric``) gives an independent
 reference for the closed-form connection; the tests differentiate that
 reference once more for the closed-form curvature.  Its two kernels,
@@ -85,27 +85,54 @@ def _with_j(model: AmbientModel) -> np.ndarray:
 
 
 class Metric(NamedTuple):
-    """The ambient metric at a chart point and the connection it determines:
-    the components ``g``, a ``(d, d)`` jet; ``connection``, taking jet or
-    float rows Y (shape ``(q, d)``) and a count p to Gamma(Y_i, Y_b) for the
-    first p rows and every row, indexed ``[i, b, C]``.  On the chart basis
-    it gives the Christoffel symbols, Gamma^C_{AB} at ``[A, B, C]``.  Flat
-    space has no connection (``None``) and g is the identity there, so
-    ``lower`` returns its rows unchanged."""
+    """The ambient metric at chart points and the connection it determines.
 
+    ``g`` holds the components, a jet of shape ``(..., d, d)``, and ``W``
+    the pairing rows (x, Jx)/rho of the Fubini-Study closed form, a jet of
+    shape ``(..., 2, d)``; leading axes run over points, and ``at(i)`` is
+    point i.  ``connection`` takes jet or float rows Y (shape
+    ``(..., q, d)``, the same leading axes) and a count p to Gamma(Y_i, Y_b)
+    for the first p rows and every row, indexed ``[..., i, b, C]``.  On the
+    chart basis it gives the Christoffel symbols, Gamma^C_{AB} at
+    ``[..., A, B, C]``.  Flat space has no connection (``W`` and
+    ``connection`` are ``None``) and g is the identity there, so ``lower``
+    returns its rows unchanged."""
+
+    model: AmbientModel
     g: Jet
-    connection: Callable | None
+    W: Jet | None
+
+    def at(self, i) -> "Metric":
+        """The metric at point ``i`` of the leading axis: views of both
+        fields."""
+        return Metric(self.model, self.g[i],
+                      None if self.W is None else self.W[i])
 
     def lower(self, V):
-        """Jet or float rows V with their chart index lowered,
-        ``einsum("...A,AB->...B", V, g)``; V itself on flat space."""
-        if self.connection is None:
+        """Jet or float rows V with their chart index lowered by the metric
+        at one point, ``einsum("...A,AB->...B", V, g)``; V itself on flat
+        space."""
+        if self.W is None:
             return V
         return einsum("...A,AB->...B", V, self.g)
 
+    @property
+    def connection(self) -> Callable | None:
+        return None if self.W is None else self._connection
+
+    def _connection(self, Y, p: int):
+        # Gamma(Y_i, Y_b) = -(M[i, b] + M[b, i]), M[i, b] = <W, Y_b> (Y_i, JY_i)
+        WY = einsum("...sA,...bA->...sb", self.W, Y)
+        M = einsum("...sb,...siC->...ibC", WY,
+                   einsum("sAB,...iB->...siA", _with_j(self.model), Y))
+        lead = tuple(range(M.ndim - 3))
+        swapped = M.transpose(*lead, M.ndim - 2, M.ndim - 3, M.ndim - 1)
+        return -(M[..., :p, :, :] + swapped[..., :p, :, :])
+
 
 def metric(model: AmbientModel, x: Jet) -> Metric:
-    """The metric at a chart point ``x``, a jet of shape ``(real_dim,)``.
+    """The metric at chart points ``x``, a jet of shape ``(..., real_dim)``:
+    one point, or points on leading axes, all evaluated at once.
 
     For Fubini-Study, with k = 4/c, rho = 1 + |x|^2 and W = (x, Jx)/rho,
 
@@ -118,27 +145,28 @@ def metric(model: AmbientModel, x: Jet) -> Metric:
 
     the real form of -(X^a <wbar, Y> + Y^a <wbar, X>)/rho, free of ``c``.
     W and 1/rho are formed once, at the order of ``x``, for both fields;
-    the connection runs at the order of its rows (W truncated to it).
-    Flat space gets the identity metric and no connection, so its callers
-    skip the lowering products and the connection terms there.
+    the connection runs at the order of its rows (W truncated to it).  The
+    point axes are batch axes of every jet product, so each point's values
+    are bit for bit those of the point alone.  Flat space gets the identity
+    metric and no connection, so its callers skip the lowering products and
+    the connection terms there.
     """
     d = model.real_dim
-    if len(x) != d:
-        raise ValueError(f"chart point has {len(x)} components, expected {d}")
+    if x.shape[-1:] != (d,):
+        raise ValueError(
+            f"chart points of shape {x.shape}, expected (..., {d})")
+    lead = x.shape[:-1]
     if model.kind == FLAT:
-        return Metric(Jet.constant(np.eye(d), x.n).truncate(x.order), None)
+        eye = np.broadcast_to(np.eye(d), lead + (d, d))
+        return Metric(model, Jet.constant(eye, x.n).truncate(x.order), None)
     IJ = _with_j(model)
-    inv_rho = (1.0 + (x * x).sum()).reciprocal()
-    W = einsum("sAB,B->sA", IJ, x) * inv_rho
-    g = (inv_rho * np.eye(d) - einsum("sA,sB->AB", W, W)) * (4.0 / model.c)
-
-    def connection(Y, p: int):
-        # Gamma(Y_i, Y_b) = -(M[i, b] + M[b, i]), M[i, b] = <W, Y_b> (Y_i, JY_i)
-        WY = einsum("sA,bA->sb", W, Y)
-        M = einsum("sb,siC->ibC", WY, einsum("sAB,iB->siA", IJ, Y))
-        return -(M[:p] + M.transpose(1, 0, 2)[:p])
-
-    return Metric(g, connection)
+    # The product first, then the sum over the chart axis: the order of one
+    # point alone, so that each point's rho has its bits.
+    inv_rho = (1.0 + (x * x).sum(axis=-1)).reciprocal()[..., None, None]
+    W = einsum("sAB,...B->...sA", IJ, x) * inv_rho
+    g = (inv_rho * np.eye(d) - einsum("...sA,...sB->...AB", W, W)) * (
+        4.0 / model.c)
+    return Metric(model, g, W)
 
 
 def levi_civita(G: Jet, G_inv: Jet) -> Jet:

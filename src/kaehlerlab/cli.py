@@ -137,12 +137,16 @@ def _point_seed(seed: int, case_index: int, point_index: int) -> int:
 def run_case(case, config: RunConfig, case_index: int) -> dict:
     """One case's report, whether a check failed, whether a class mismatched.
 
-    Two phases: the geometry and the identity suite run point by point, each
-    point with its own seed, and a point the geometry refuses becomes a
+    Three phases.  The head of the geometry runs once, on the stack of the
+    sampled points (``submanifold.chart_heads``: the chart, the ambient
+    metric and its Christoffel values).  Then the rest of the geometry and
+    the identity suite run point by point, each point from its own head and
+    with its own seed, and a point the geometry refuses becomes a
     ``skipped`` entry (with ``internal_error`` for a route disagreement).
     Then the classifier and the theorem verdicts run once, on the stack of
     the evaluated points, and fill each of their entries."""
     points = sample_points(case, config.points, config.seed, case_index)
+    heads = submanifold.chart_heads(case, points)
     expected = EXPECTED_CLASS[case.expected_class]
     point_reports = []
     agg_residual = {chk.identity_id: 0.0 for chk in identities.REGISTRY}
@@ -150,11 +154,11 @@ def run_case(case, config: RunConfig, case_index: int) -> dict:
     any_mismatch = False
     max_det = 0.0
     entries, stack = [], []  # the evaluated points: report entries, data
-    for pi, u in enumerate(points):
+    for pi, (u, head) in enumerate(zip(points, heads)):
         entry = {"u": [float(x) for x in u]}
         point_reports.append(entry)
         try:
-            data = submanifold.extrinsic_data(case, u)
+            data = submanifold.extrinsic_data(case, u, head=head)
         except (submanifold.DegeneratePointError,
                 submanifold.FrameConstructionError,
                 submanifold.PathDisagreementError) as exc:

@@ -254,9 +254,13 @@ class Jet:
     def T(self) -> "Jet":
         return self.transpose()
 
-    def sum(self) -> "Jet":
-        """Scalar jet: the sum of all entries."""
-        return Jet._wrap(self.n, self.c.reshape(-1, self.c.shape[-1]).sum(0))
+    def sum(self, axis=None) -> "Jet":
+        """The sum of all entries, a scalar jet, or over one leading
+        ``axis``."""
+        if axis is None:
+            return Jet._wrap(self.n,
+                             self.c.reshape(-1, self.c.shape[-1]).sum(0))
+        return Jet._wrap(self.n, self.c.sum(axis % self.ndim))
 
     # -- ring operations ---------------------------------------------------
 
@@ -587,11 +591,13 @@ def seed_variable(i: int, value: float, n: int) -> Jet:
 
 def seed_point(x) -> Jet:
     """Seed every component of a point as its own jet variable: a jet of
-    shape ``(n,)`` whose entry i is the i-th coordinate function."""
+    shape ``(n,)`` whose entry i is the i-th coordinate function.  Points
+    on leading axes, ``x`` of shape ``(..., n)``, are seeded in the same
+    ring, one jet array of shape ``(..., n)``."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     out = Jet.constant(x, n)
-    out.c[:, 1:n + 1] += np.eye(n)
+    out.c[..., 1:n + 1] += np.eye(n)
     return out
 
 

@@ -9,9 +9,11 @@ curvature and of the intrinsic curvature.
 
 Derivative bookkeeping is the delicate part.  All quantities are assembled
 in jet arithmetic over the immersion parameters alone: the ambient is
-evaluated once per point on the jets of F(u) (``ambient.metric``: the metric
-jet and the closed-form connection, whose values on the chart basis are the
-float Christoffel symbols), so no ambient chart derivative is taken.  On
+evaluated on the jets of F(u) (``ambient.metric``: the metric jet and the
+closed-form connection, whose values on the chart basis are the float
+Christoffel symbols), so no ambient chart derivative is taken.  That head
+runs once on a case's stack of points (``chart_heads``), and each point's
+``PointGeometry`` reads its own slice.  On
 flat space that metric is the identity and there is no connection, so
 lowering an index (``Metric.lower``) returns its rows and the connection
 terms are not formed.  Each jet tensor is one array-valued ``Jet``, built
@@ -116,20 +118,85 @@ class ImmersionCase:
 
     def map_jets(self, u) -> Jet:
         """Real chart coordinates (Re w_0, Im w_0, ...) of F(u) as a jet of
-        shape ``(d,)``: the chart, any expression in ``+ - * /`` with real or
-        complex scalars, runs unchanged on the complex jets z_a = u_2a +
-        i u_2a+1; non-finite coefficients raise no warning here."""
+        shape ``(d,)``, or of shape ``(P, d)`` for P points ``u`` of shape
+        ``(P, 2m)``, all seeded as one jet array in the ring of the 2m
+        parameters: the chart, any expression in ``+ - * /`` with real or
+        complex scalars, runs once, unchanged, on the complex jets z_a =
+        u_2a + i u_2a+1 (of shape ``(P,)``), and each point's coefficients
+        are bit for bit those of the point alone.  A pole at any of the
+        points raises ``ZeroDivisionError`` for all of them; non-finite
+        coefficients raise no warning here."""
         nu = 2 * self.m
         u = np.asarray(u, dtype=float)
-        if u.shape != (nu,):
+        if u.ndim < 1 or u.shape[-1] != nu:
             raise ValueError(f"expected {nu} parameters, got {u.shape}")
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             x = seed_point(u)
-            z = x[0::2] + 1j * x[1::2]
-            w = stack(self.chart(list(z))).c
-        coords = np.empty((2 * len(w), w.shape[-1]))
-        coords[0::2], coords[1::2] = w.real, w.imag
+            z = x[..., 0::2] + 1j * x[..., 1::2]
+            w = stack(self.chart([z[..., a] for a in range(self.m)]),
+                      axis=-1).c
+        coords = np.empty(w.shape[:-2] + (2 * w.shape[-2], w.shape[-1]))
+        coords[..., 0::2, :], coords[..., 1::2, :] = w.real, w.imag
         return Jet._wrap(nu, coords)
+
+
+@dataclass(frozen=True)
+class ChartHead:
+    """The first geometry stage at one point: F(u) as an order-3 jet, the
+    ambient metric along it and its values, and the ambient Christoffel
+    values Gamma^C_{AB} at ``[C, A, B]``; or, for a point the chart refuses,
+    only ``refused``, the message of its ``DegeneratePointError``.  The
+    arrays view the stacks that ``chart_heads`` evaluates for a case."""
+
+    F: Jet | None = None
+    metric: amb.Metric | None = None
+    g_amb: np.ndarray | None = None
+    gamma_amb: np.ndarray | None = None
+    refused: str | None = None
+
+
+def chart_heads(case: ImmersionCase, points) -> list:
+    """One ``ChartHead`` per row of ``points`` (shape ``(P, 2m)``), all
+    evaluated as one stack: ``map_jets`` runs the chart once on jets of
+    shape ``(P,)``, ``ambient.metric`` runs once on the ``(P, d)`` chart
+    points, and one connection call on the chart basis gives every point's
+    Christoffel values.  The point axis is a batch axis of each jet product,
+    so every head is bit for bit that of its point alone.
+
+    A pole at any point refuses the whole stack (``Jet.reciprocal``'s floor
+    is one check), so then each point is evaluated as a stack of one and
+    gets its own message.  A point whose F is not finite is refused, and
+    masked with zeros before the metric."""
+    points = np.asarray(points, dtype=float)
+    try:
+        F = case.map_jets(points)
+    except ZeroDivisionError as exc:
+        if len(points) > 1:
+            return [chart_heads(case, u[None])[0] for u in points]
+        return [ChartHead(refused=f"{case.name}: chart has a pole at "
+                                  f"u={points[0]}: {exc}")]
+    finite = np.isfinite(F.c).all(axis=(-2, -1))
+    F.c[~finite] = 0.0
+    # Every use of the ambient metric also involves the tangent frame
+    # (order 2) or what is derived from it, so it is needed to order 2
+    # only; the connection enters only beside first partials, so the stages
+    # run it on order-1 rows.
+    metric = amb.metric(case.ambient, F.truncate(2))
+    P, d = len(points), case.ambient.real_dim
+    if metric.connection is None:
+        gamma_amb = np.zeros((P, d, d, d))
+    else:
+        # The connection on the chart basis, as constant rows (order 0),
+        # one basis per point so that the points stay a batch axis.
+        basis = Jet.constant(np.broadcast_to(np.eye(d), (P, d, d)), F.n)
+        gamma_amb = jet_values(
+            metric.connection(basis.truncate(0), d).transpose(0, 3, 1, 2))
+    g_amb = jet_values(metric.g)
+    return [
+        ChartHead(F_u, metric.at(i), g_amb[i], gamma_amb[i]) if finite[i]
+        else ChartHead(refused=f"{case.name}: chart not finite at u={u}: the "
+                               f"Taylor coefficients of F hold NaN or inf")
+        for i, (u, F_u) in enumerate(zip(points, F))]
 
 
 def _chart_linear(z):
@@ -276,7 +343,8 @@ class PointGeometry:
     under their ``ExtrinsicData`` field names; later stages read those.
     """
 
-    def __init__(self, case: ImmersionCase, u, normal_seed_mix=None):
+    def __init__(self, case: ImmersionCase, u, normal_seed_mix=None,
+                 head: ChartHead | None = None):
         self.case = case
         self.case_name = case.name
         self.u = np.asarray(u, dtype=float)
@@ -287,7 +355,7 @@ class PointGeometry:
         self.c = case.ambient.c
         self.J_amb = amb.complex_structure(case.ambient)
         self.two_path = {}
-        self._build_ambient_along_immersion()
+        self._build_ambient_along_immersion(head)
         self._build_tangent()
         self._build_normal_frame(normal_seed_mix)
         self._build_j_frames()
@@ -305,33 +373,17 @@ class PointGeometry:
 
     # -- ambient data composed with the immersion ---------------------------
 
-    def _build_ambient_along_immersion(self):
-        try:
-            self.F = self.case.map_jets(self.u)
-        except ZeroDivisionError as exc:
-            raise DegeneratePointError(
-                f"{self.case.name}: chart has a pole at u={self.u}: {exc}"
-            ) from exc
-        if not np.isfinite(self.F.c).all():
-            raise DegeneratePointError(
-                f"{self.case.name}: chart not finite at u={self.u}: the "
-                f"Taylor coefficients of F hold NaN or inf"
-            )
-        # Every use of the ambient metric also involves the tangent frame
-        # (order 2) or what is derived from it, so it is needed to order 2
-        # only; the connection enters only beside first partials, so it runs
-        # on order-1 rows.
-        self.metric_amb = amb.metric(self.case.ambient, self.F.truncate(2))
-        self.g_amb_jet, self.connection_amb = self.metric_amb
-        self.g_amb = jet_values(self.g_amb_jet)
-        # Gamma^C_{AB} at F(u): the connection on the chart basis, as
-        # constant rows, so at order 0.
-        if self.connection_amb is None:
-            self.gamma_amb = np.zeros((self.d,) * 3)
-        else:
-            basis = Jet.constant(np.eye(self.d), self.nu).truncate(0)
-            self.gamma_amb = jet_values(
-                self.connection_amb(basis, self.d).transpose(2, 0, 1))
+    def _build_ambient_along_immersion(self, head: ChartHead | None):
+        """This point's slice of its case's ``chart_heads``, or, without
+        one, the head of this point alone (a stack of one)."""
+        if head is None:
+            (head,) = chart_heads(self.case, self.u[None])
+        if head.refused is not None:
+            raise DegeneratePointError(head.refused)
+        self.F, self.metric_amb = head.F, head.metric
+        self.g_amb_jet = self.metric_amb.g
+        self.connection_amb = self.metric_amb.connection
+        self.g_amb, self.gamma_amb = head.g_amb, head.gamma_amb
 
     # -- tangent frame, induced metric, Christoffel symbols -----------------
 
@@ -590,9 +642,13 @@ class PointGeometry:
             for f in fields(ExtrinsicData)})
 
 
-def extrinsic_data(case: ImmersionCase, u, normal_seed_mix=None) -> ExtrinsicData:
-    """The complete extrinsic package at one parameter point."""
-    return PointGeometry(case, u, normal_seed_mix=normal_seed_mix).data()
+def extrinsic_data(case: ImmersionCase, u, normal_seed_mix=None,
+                   head: ChartHead | None = None) -> ExtrinsicData:
+    """The complete extrinsic package at one parameter point; ``head`` is
+    the point's entry of ``chart_heads`` over its case's points, else the
+    head is evaluated for this point alone."""
+    return PointGeometry(case, u, normal_seed_mix=normal_seed_mix,
+                         head=head).data()
 
 
 # -- frame-independent norms ------------------------------------------------

@@ -24,6 +24,8 @@ SEGRE = _EXTRA["segre_cp1xcp1"]
 #: The quadric Q3 in CP4 and a flat cubic threefold in C4 (m = 3).
 QUADRIC_Q3 = _EXTRA["quadric_q3"]
 CUBIC_THREEFOLD = _EXTRA["cubic_threefold_c4"]
+#: The Veronese CP3 in CP9 (m = 3, l = 6).
+VERONESE_CP3 = _EXTRA["veronese_cp3"]
 
 
 def _chart_cubic_surface(z):

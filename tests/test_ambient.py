@@ -1,5 +1,7 @@
 """Ambient space models: metric values, Kaehler conditions, curvature."""
 
+import math
+
 import numpy as np
 import pytest
 from oracles import (
@@ -143,6 +145,38 @@ class TestLower:
         assert np.array_equal(jet_values(metric.g), np.eye(4))
         V = seed_point([0.1, 0.2, 0.3, 0.4])
         assert metric.lower(V) is V
+
+
+class TestStackedMetric:
+    @pytest.mark.parametrize("model", [amb.flat(3), amb.fubini_study(4.0, 2),
+                                       amb.fubini_study(1.0, 3),
+                                       amb.fubini_study(4.0, 10)],
+                             ids=lambda m: f"{m.kind}{m.complex_dim}")
+    def test_points_match_one_at_a_time(self, model):
+        # Chart points on a leading axis are a batch axis of every jet
+        # product, so each point's metric, pairing rows and Christoffel
+        # values are bit for bit those of the point alone, also at d = 20,
+        # where the sum over the chart axis is longest.
+        rng = np.random.default_rng(model.real_dim)
+        d, n, P = model.real_dim, 3, 5
+        x = Jet(n, rng.uniform(-0.5, 0.5, (P, d, math.comb(n + 2, 2))))
+        stacked = amb.metric(model, x)
+        assert stacked.g.shape == (P, d, d)
+        basis = Jet.constant(np.eye(d), n).truncate(0)
+        if stacked.connection is not None:
+            every = stacked.connection(
+                Jet.constant(np.broadcast_to(np.eye(d), (P, d, d)),
+                             n).truncate(0), d)
+        rows = Jet(n, rng.uniform(-1, 1, (4, d, n + 1)))
+        for i in range(P):
+            one, at = amb.metric(model, x[i]), stacked.at(i)
+            assert at.model == one.model and at.g == one.g
+            if one.W is None:
+                assert at.W is None and at.connection is None
+                continue
+            assert at.W == one.W
+            assert every[i] == one.connection(basis, d)
+            assert at.connection(rows, 2) == one.connection(rows, 2)
 
 
 class TestComplexStructure:

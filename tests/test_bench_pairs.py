@@ -22,8 +22,9 @@ bp = _load()
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _runs(parent, change, metric="points_per_ref_s"):
-    """One run per side and pair, the parent first in even pairs."""
+def _runs(parent, change, metric="points_per_ref_s", attempted=None):
+    """One run per side and pair, the parent first in even pairs; with
+    ``attempted``, (parent, change) lists of the points each run attempted."""
     runs = []
     for pair, (a, b) in enumerate(zip(parent, change)):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -32,6 +33,8 @@ def _runs(parent, change, metric="points_per_ref_s"):
             result = None if value is None else {
                 "correct": True,
                 "metrics": {metric: {"value": value, "unit": "-"}}}
+            if result is not None and attempted is not None:
+                result["attempted"] = attempted[side == "change"][pair]
             runs.append({"pair": pair, "side": side, "seed": 101 + pair,
                          "first": order[0], "returncode": 0,
                          "environment": None, "result": result})
@@ -116,3 +119,25 @@ def test_table_rows():
     assert lines[2] == ("| surface_m2 | points_per_ref_s "
                         "| 201.0 [200.5, 201.5] | 220.0 [219.5, 220.5] "
                         "(+9.5 %) | 3/3 | 1.00 | gain |")
+
+
+def test_attempted_points_reported_without_verdict():
+    # A faster change calls the workload more often within the run length,
+    # and the benchmark retains every rendered report: the points attempted
+    # per run are reported beside the metrics, with no verdict.
+    runs = _runs([100.0, 101.0, 102.0], [110.0, 111.0, 112.0],
+                 attempted=([2000, 2125, 2000], [2250, 2250, 2125]))
+    summary = bp.summarise(
+        runs, [s for s in END_TO_END if s["name"] == "points_per_ref_s"])
+    s = summary["attempted"]
+    assert "verdict" not in s and "change_better_pairs" not in s
+    assert (s["parent"]["median"], s["change"]["median"]) == (2000, 2250)
+    assert s["pairs"] == 3 and s["median_ratio_change_over_parent"] == 1.125
+    row = bp.table({"catalog": summary}).splitlines()[-1]
+    assert row == ("| catalog | attempted | 2000.0 [2000.0, 2062.5] "
+                   "| 2250.0 [2187.5, 2250.0] (+12.5 %) | - | - | - |")
+    # Runs without the count leave both sides empty.
+    s = bp.summarise(_runs([1.0], [2.0]), [])["attempted"]
+    assert s["parent"] is s["change"] is None
+    assert bp.table({"w": {"attempted": s}}).splitlines()[-1] == (
+        "| w | attempted | - | - | - | - | - |")

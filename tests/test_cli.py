@@ -294,6 +294,56 @@ class TestRun:
             assert report["points"][k] == full["points"][k], k
         assert report["aggregates"]["skipped_points"] == 1
 
+    def test_pole_and_nan_in_the_stack_are_skipped_alone(self, monkeypatch):
+        # The chart runs once on the case's stack of points.  With a pole of
+        # (z, 1/(1 + z^2)) at the middle point and a NaN parameter at
+        # another, only those two are skipped, each with the message of the
+        # point evaluated alone, and every other entry is that of the same
+        # run without them.
+        case = sm.ImmersionCase(
+            "rational_c2", 1, amb.flat(2),
+            lambda z: [z[0], 1.0 / (1.0 + z[0] * z[0])],
+            ((-0.5, 0.5),) * 2, sm.GENERIC)
+        config, index = cli.RunConfig(points=7), len(sm.CATALOG)
+        clean, *flags = cli.run_case(case, config, index)
+        sample = cli.sample_points
+
+        def with_bad_points(*args):
+            points = sample(*args)
+            points[3] = (0.0, 1.0)  # z = i
+            points[5] = (float("nan"), 0.2)
+            return points
+
+        monkeypatch.setattr(cli, "sample_points", with_bad_points)
+        report, *bad_flags = cli.run_case(case, config, index)
+        assert bad_flags == flags
+        assert report["points"][3] == {
+            "u": [0.0, 1.0],
+            "skipped": "rational_c2: chart has a pole at u=[0. 1.]: jet "
+                       "reciprocal: constant term below floor 1e-12 "
+                       "(smallest 0.000e+00)"}
+        assert report["points"][5]["skipped"] == (
+            "rational_c2: chart not finite at u=[nan 0.2]: the Taylor "
+            "coefficients of F hold NaN or inf")
+        assert set(report["points"][5]) == {"u", "skipped"}
+        for k in (0, 1, 2, 4, 6):
+            assert report["points"][k] == clean["points"][k], k
+        assert report["aggregates"]["skipped_points"] == 2
+
+    @pytest.mark.parametrize("case", list(sm.CATALOG) + [SEGRE],
+                             ids=lambda c: c.name)
+    def test_one_metric_call_per_case(self, monkeypatch, case):
+        # The head of the geometry runs once per case, on every point.
+        shapes, metric = [], amb.metric
+
+        def counted(model, x):
+            shapes.append(x.shape)
+            return metric(model, x)
+
+        monkeypatch.setattr(amb, "metric", counted)
+        cli.run_case(case, cli.RunConfig(points=4), len(sm.CATALOG))
+        assert shapes == [(4, case.ambient.real_dim)]
+
     def test_every_point_skipped_runs_no_classifier(self, monkeypatch):
         def refuse(case, u, *args, **kwargs):
             raise sm.DegeneratePointError("forced")

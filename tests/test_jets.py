@@ -53,6 +53,18 @@ class TestSeeding:
         jets = seed_point([1.0, 2.0, 3.0])
         assert [j.value for j in jets] == [1.0, 2.0, 3.0]
 
+    def test_seed_points_on_a_leading_axis(self):
+        # Points (P, n) are seeded in the one ring of n variables: row p is
+        # seed_point of point p, and the sum of squares over the point's
+        # axis is each point's own sum, bit for bit.
+        x = np.random.default_rng(8).uniform(-1, 1, (5, 4))
+        jets = seed_point(x)
+        assert jets.n == 4 and jets.shape == (5, 4)
+        squares = (jets * jets).sum(axis=-1)
+        for p, (row, jet) in enumerate(zip(x, jets)):
+            assert jet == seed_point(row)
+            assert (jet * jet).sum() == squares[p]
+
 
 class TestArithmetic:
     def test_square_of_coordinate(self):
@@ -740,7 +752,10 @@ _SCANNED = {
 #: curved ambient: a vector, the rows T and N, the form b_vec, and the
 #: metric pairing <U, V> that lowering U and "A,A->" fold to.
 _LOWERED = ("A,AB->B", "iA,AB->iB", "aA,AB->aB", "ijA,AB->ijB", "A,AB,B->")
-PACKAGE_SPECS = sorted(_SCANNED - {"...A,AB->...B"} | set(_LOWERED))
+#: Every scanned spec as written, and each one with "..." also as it runs
+#: at a single point, without leading axes.
+PACKAGE_SPECS = sorted(_SCANNED | set(_LOWERED)
+                       | {spec.replace("...", "") for spec in _SCANNED})
 
 
 @lru_cache(maxsize=None)
@@ -794,23 +809,27 @@ class TestPairStep:
     def test_matches_naive_product(self, spec, broadcast):
         rng = np.random.default_rng(sum(map(ord, spec)) + broadcast)
         ins, out = spec.split("->")
-        subs = ins.split(",")
-        if broadcast:
-            spec = ",".join("..." + sub for sub in subs) + "->..." + out
+        if broadcast and "..." not in spec:
+            spec = ",".join("..." + sub for sub in ins.split(",")) \
+                + "->..." + out
+        # A spec with "..." as written runs plain with no batch axes.
+        subs = spec.split("->")[0].split(",")
+        first = next((k for k, sub in enumerate(subs) if "..." in sub), None)
         for n in range(1, 7):
             # Sizes 1 to 3 (1 to 2 beside the batch axes, to keep the naive
             # product small).
             dims = {ch: int(rng.integers(1, 3 if broadcast else 4))
-                    for ch in ins if ch != ","}
+                    for ch in ins if ch not in ",."}
             operands = []
             for k, sub in enumerate(subs):
-                # Operand 0 carries the batch axes (3, 2); the others the
-                # same, a trailing part or a size-1 axis to broadcast.
-                batch = ((3, 2) if k == 0 else
+                # The first operand with "..." carries the batch axes
+                # (3, 2); the others with "..." the same, a trailing part or
+                # a size-1 axis to broadcast.
+                batch = ((3, 2) if k == first else
                          [(3, 2), (2,), (), (1, 2)][rng.integers(4)]
-                         ) if broadcast else ()
+                         ) if broadcast and "..." in sub else ()
                 order = int(rng.integers(0, 4))
-                shape = (*batch, *(dims[ch] for ch in sub),
+                shape = (*batch, *(dims[ch] for ch in sub.replace(".", "")),
                          math.comb(n + order, order))
                 c = rng.uniform(-1, 1, shape)
                 if rng.integers(2):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from dataclasses import fields
 
-from extra_cases import CUBIC_SURFACE, CUBIC_THREEFOLD, QUADRIC_Q3, SEGRE
+from extra_cases import (
+    CUBIC_SURFACE,
+    CUBIC_THREEFOLD,
+    QUADRIC_Q3,
+    SEGRE,
+    VERONESE_CP3,
+)
 from oracles import (
     christoffel,
     curvature_closed_form_tensor,
@@ -13,6 +19,7 @@ from oracles import (
 )
 
 from kaehlerlab import ambient as amb
+from kaehlerlab import cli
 from kaehlerlab import identities as ids
 from kaehlerlab import recurrence as rec
 from kaehlerlab import submanifold as sm
@@ -222,30 +229,76 @@ class TestFlatShortcut:
     def test_curved_path_on_flat_inputs_gives_the_same_data(self, case,
                                                             monkeypatch):
         # Flat space skips the lowering products and the connection terms.
-        # Forcing the curved path there, with the identity metric and a
-        # connection that returns zeros, must change no entry of any field:
-        # the flat path drops only products with exact identities and zeros.
+        # Forcing the curved path there, with the identity metric and zero
+        # pairing rows W, so that the connection returns zeros, must change
+        # no entry of any field: the flat path drops only products with
+        # exact identities and zeros.
         u = np.random.default_rng(61).uniform(-0.5, 0.5, 2 * case.m)
         want = sm.extrinsic_data(case, u)
         d, calls = case.ambient.real_dim, []
+        connection = amb.Metric._connection
 
         def metric(model, x):
-            def connection(Y, p):
-                calls.append(p)
-                return Jet.constant(np.zeros((p, len(Y), d)),
-                                    x.n).truncate(Y.order)
-            return amb.Metric(Jet.constant(np.eye(d), x.n).truncate(x.order),
-                              connection)
+            lead = x.shape[:-1]
+            eye = np.broadcast_to(np.eye(d), lead + (d, d))
+            return amb.Metric(model, Jet.constant(eye, x.n).truncate(x.order),
+                              Jet.constant(np.zeros(lead + (2, d)), x.n))
+
+        def counted(self, Y, p):
+            calls.append(p)
+            return connection(self, Y, p)
 
         monkeypatch.setattr(amb, "metric", metric)
+        monkeypatch.setattr(amb.Metric, "_connection", counted)
         got = sm.extrinsic_data(case, u)
         assert calls == [d, 2 * case.m]  # the basis, then the rows (T, N)
-        for f in fields(sm.ExtrinsicData):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(b, dict):
-                assert a == b, f.name
-            else:
-                assert np.array_equal(a, b), f.name
+        _assert_same_data(got, want)
+
+
+def _assert_same_data(got, want):
+    """Every ``ExtrinsicData`` field equal: arrays entry for entry, the
+    residual dicts as dicts."""
+    for f in fields(sm.ExtrinsicData):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, dict):
+            assert a == b, f.name
+        else:
+            assert np.array_equal(a, b), f.name
+
+
+STACKED_CASES = [*sm.CATALOG, SEGRE, CUBIC_SURFACE, QUADRIC_Q3,
+                 CUBIC_THREEFOLD, VERONESE_CP3]
+
+
+class TestStackedHead:
+    @pytest.mark.parametrize("case", STACKED_CASES, ids=lambda c: c.name)
+    def test_stack_matches_one_point(self, case):
+        # ``chart_heads`` runs the chart, the ambient metric and the basis
+        # connection once on a case's sampled points; each point's head, and
+        # the data built from it, are bit for bit the point's alone.  The
+        # catalog cases at every point of the default run, the others at 4.
+        if case in sm.CATALOG:
+            points = cli.sample_points(case, cli.DEFAULT_POINTS,
+                                       cli.DEFAULT_SEED, sm.CATALOG.index(case))
+        else:
+            points = cli.sample_points(case, 4, cli.DEFAULT_SEED,
+                                       len(sm.CATALOG))
+        heads = sm.chart_heads(case, points)
+        assert len(heads) == len(points)
+        F = case.map_jets(points)
+        for i, (u, head) in enumerate(zip(points, heads)):
+            (one,) = sm.chart_heads(case, u[None])
+            assert head.refused is None and one.refused is None
+            assert head.F == one.F == case.map_jets(u) == F[i]
+            assert head.metric.g == one.metric.g
+            assert (head.metric.W is None) == (one.metric.W is None)
+            if one.metric.W is not None:
+                assert head.metric.W == one.metric.W
+            assert np.array_equal(head.g_amb, one.g_amb)
+            assert np.array_equal(head.gamma_amb, one.gamma_amb)
+            assert head.gamma_amb.shape == (case.ambient.real_dim,) * 3
+            _assert_same_data(sm.extrinsic_data(case, u, head=head),
+                              sm.extrinsic_data(case, u))
 
 
 def _assert_healthy(d, expected_class):

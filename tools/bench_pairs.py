@@ -15,7 +15,10 @@ first, exit code, the environment line and the result object that
 ``perfbench/run.py`` prints last) and, per workload and end-to-end metric,
 each side's median and quartiles (numpy linear percentiles), the pairs the
 change wins (ties count for neither side), the parent's quartile spread
-and a verdict:
+and a verdict.  Each workload's summary also holds ``attempted``, each
+side's quartiles of the points one run attempted, with no verdict: a run
+that calls the workload more often retains more rendered reports, which
+moves ``peak_rss_mb``.  The verdicts:
 
 - ``gain``: the change wins at least 9 in 10 of all pairs run and its median
   is better by more than the parent's quartile spread;
@@ -94,6 +97,13 @@ def _metric(run: dict, name: str):
         return None
 
 
+def _attempted(run: dict):
+    try:
+        return run["result"]["attempted"]
+    except (KeyError, TypeError):
+        return None
+
+
 def _quartiles(values) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"n": len(values), "median": float(median), "q1": float(q1),
@@ -141,6 +151,16 @@ def summarise(runs: list, metrics: list) -> dict:
                      "change_better_pairs": wins, "parent_iqr": iqr,
                      "median_ratio_change_over_parent": ratio,
                      "verdict": verdict}
+    attempted = {side: [_attempted(run) for run in runs
+                        if run["side"] == side and _attempted(run) is not None]
+                 for side in ("parent", "change")}
+    parent, change = (_quartiles(v) if v else None
+                      for v in attempted.values())
+    out["attempted"] = {
+        "pairs": len(pairs), "parent": parent, "change": change,
+        "median_ratio_change_over_parent":
+            change["median"] / parent["median"]
+            if parent and change and parent["median"] else None}
     return out
 
 
@@ -150,26 +170,30 @@ def _fmt(x: float) -> str:
 
 def table(summaries: dict) -> str:
     """Markdown rows: workload, metric, both sides' median [q1, q3], the
-    change's wins, the parent's spread and the verdict."""
+    change's wins, the parent's spread and the verdict; the ``attempted``
+    row has the medians only."""
     lines = ["| workload | metric | parent | change | change better "
              "| parent IQR | verdict |",
              "| --- | --- | --- | --- | --- | --- | --- |"]
+
+    def cell(q):
+        return "-" if q is None else (
+            f"{_fmt(q['median'])} [{_fmt(q['q1'])}, {_fmt(q['q3'])}]")
+
     for workload, summary in summaries.items():
         for name, s in summary.items():
-            if s["verdict"] == "missing":
+            if s.get("verdict") == "missing":
                 lines.append(f"| {workload} | {name} | - | - | - | - "
                              "| missing |")
                 continue
-            b, c = s["parent"], s["change"]
             ratio = s["median_ratio_change_over_parent"]
             moved = ("" if ratio is None or abs(ratio - 1) < 0.005
                      else f" ({(ratio - 1) * 100:+.1f} %)")
-            lines.append(
-                f"| {workload} | {name} "
-                f"| {_fmt(b['median'])} [{_fmt(b['q1'])}, {_fmt(b['q3'])}] "
-                f"| {_fmt(c['median'])} [{_fmt(c['q1'])}, {_fmt(c['q3'])}]"
-                f"{moved} | {s['change_better_pairs']}/{s['pairs']} "
-                f"| {_fmt(s['parent_iqr'])} | {s['verdict']} |")
+            judged = ("| - | - | - |" if "verdict" not in s else
+                      f"| {s['change_better_pairs']}/{s['pairs']} "
+                      f"| {_fmt(s['parent_iqr'])} | {s['verdict']} |")
+            lines.append(f"| {workload} | {name} | {cell(s['parent'])} "
+                         f"| {cell(s['change'])}{moved} {judged}")
     return "\n".join(lines)
 
 
